@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
-from .errors import AnalysisError, DegenerateInputError, FitError, NumericalError
+from .errors import FIT_FAILURES, AnalysisError, DegenerateInputError, FitError, NumericalError
 from .series import TimeSeries, adf_test, difference
 
 MAX_ITER = 500
@@ -221,7 +221,7 @@ def select_order(series: TimeSeries, caps: ArimaOrder = ArimaOrder(5, 2, 5)) -> 
             try:
                 model = fit(series, order)
                 candidates.append((order, aic(model), True))
-            except Exception:
+            except FIT_FAILURES:
                 candidates.append((order, float("inf"), False))
     converged = [c for c in candidates if c[2]]
     if not converged:

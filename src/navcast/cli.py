@@ -170,13 +170,20 @@ def cmd_analyze(series: TimeSeries, out_dir: Path, max_lag: int = 20) -> dict:
     return {"adf": adf, "stationary_d": stationary_d, "correlogram_d": d_used}
 
 
+def _write_models(out_dir: Path, arima_model, residual_net=None):
+    """models/arima.txt, and models/lstm.txt when a residual net is given."""
+    models_dir = out_dir / "models"
+    models_dir.mkdir(parents=True, exist_ok=True)
+    (models_dir / "arima.txt").write_text(arima_mod.serialize(arima_model), encoding="utf-8")
+    if residual_net is not None:
+        (models_dir / "lstm.txt").write_text(lstm_mod.serialize(residual_net), encoding="utf-8")
+
+
 def cmd_fit_arima(series: TimeSeries, order, out_dir: Path) -> arima_mod.ArimaModel:
     if order == "auto":
         order = arima_mod.select_order(series).chosen
     model = arima_mod.fit(series, order)
-    models_dir = out_dir / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
-    (models_dir / "arima.txt").write_text(arima_mod.serialize(model), encoding="utf-8")
+    _write_models(out_dir, model)
     return model
 
 
@@ -185,10 +192,7 @@ def cmd_fit_hybrid(series: TimeSeries, spec: SplitSpec, order, cfg: TrainConfig,
     train = series.slice(0, spec.train_len)
     val = series.slice(spec.train_len, test_start)
     model = fit_hybrid(train, val, arima_order=order, cfg=cfg)
-    models_dir = out_dir / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
-    (models_dir / "arima.txt").write_text(arima_mod.serialize(model.arima), encoding="utf-8")
-    (models_dir / "lstm.txt").write_text(lstm_mod.serialize(model.residual_net), encoding="utf-8")
+    _write_models(out_dir, model.arima, model.residual_net)
     summary = {
         "arima_order": [model.arima.order.p, model.arima.order.d, model.arima.order.q],
         "window_m": model.window_m,
@@ -231,18 +235,9 @@ def cmd_compare(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig, out_dir: 
         payload["failed"] = result.failures
     (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
-    models_dir = out_dir / "models"
-    models_dir.mkdir(exist_ok=True)
-    # Persist the fit-once artifacts by refitting identically (same seeds).
-    train = series.slice(0, spec.train_len)
-    val = series.slice(spec.train_len, test_start)
     if "hybrid" in result.runs:
-        from dataclasses import replace
-        from .hybrid import SEED_OFFSETS
-        hybrid_cfg = replace(cfg, seed=cfg.seed + SEED_OFFSETS["hybrid"])
-        model = fit_hybrid(train, val, arima_order=order, cfg=hybrid_cfg)
-        (models_dir / "arima.txt").write_text(arima_mod.serialize(model.arima), encoding="utf-8")
-        (models_dir / "lstm.txt").write_text(lstm_mod.serialize(model.residual_net), encoding="utf-8")
+        hybrid = result.runs["hybrid"].model  # the evaluated training-segment fit
+        _write_models(out_dir, hybrid.arima, hybrid.residual_net)
 
     print(format_table(result.report), file=stream)
     if result.failures:
@@ -280,8 +275,6 @@ def _parse_order(text: str):
 
 def _resolve_split(series: TimeSeries, raw) -> SplitSpec:
     if raw is None:
-        if len(series) == 1260:
-            return SplitSpec(900, 100, 260)
         return SplitSpec.proportional(len(series))
     return SplitSpec(*raw)
 
@@ -309,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--layers", type=int, default=3)
         p.add_argument("--hidden", type=int, default=32)
         p.add_argument("--window-m", type=int, default=20)
-        p.add_argument("--window-L", type=int, default=DEFAULT_WINDOW_L)
-        p.add_argument("--refit", choices=("none", "arima"), default="none")
 
     p = sub.add_parser("analyze", help="ADF / ACF / PACF / differencing artifacts")
     add_common(p)
@@ -327,6 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="rolling three-model comparison")
     add_common(p)
     add_train_flags(p)
+    p.add_argument("--window-L", type=int, default=DEFAULT_WINDOW_L)
+    p.add_argument("--refit", choices=("none", "arima"), default="none")
 
     p = sub.add_parser("synth", help="generate a synthetic fixture CSV")
     add_common(p, need_input=False)
@@ -367,7 +360,10 @@ def main(argv=None) -> int:
                 key, _, value = item.partition("=")
                 if not _:
                     raise ConfigurationError(f"bad --param {item!r}, expected KEY=VALUE")
-                params[key] = float(value)
+                try:
+                    params[key] = float(value)
+                except ValueError:
+                    raise ConfigurationError(f"bad --param {item!r}, value must be a number")
             series = generate_synthetic(args.kind, args.n, params, args.seed)
             out_dir.mkdir(parents=True, exist_ok=True)
             target = Path(args.output) if args.output else out_dir / "synthetic.csv"

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by the whole library."""
 
+import numpy as np
+
 
 class NavcastError(Exception):
     """Base class for every library-raised error."""
@@ -31,3 +33,9 @@ class FitError(NavcastError):
 
 class IngestionError(NavcastError):
     """Input file missing or malformed; message carries the 1-based line number."""
+
+
+# What a fit may raise when its data or its numerics defeat it.  Code that
+# records a failed candidate or a failed model kind catches only these, so a
+# programming error still propagates.
+FIT_FAILURES = (NavcastError, np.linalg.LinAlgError, FloatingPointError)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import arima as arima_mod
 from . import lstm as lstm_mod
-from .errors import ConfigurationError, DegenerateInputError
+from .errors import FIT_FAILURES, ConfigurationError, DegenerateInputError
 from .lstm import LstmNetwork, SupervisedWindowSet, TrainConfig
 from .series import (
     ScaleParams,
@@ -52,11 +52,14 @@ class EvalRun:
     window_L: int
     linear: np.ndarray | None = None  # hybrid only: the ARIMA component
     nonlinear: np.ndarray | None = None  # hybrid only: the LSTM component
+    # The fit on the training segment (ArimaModel, LstmNetwork or
+    # HybridModel); under refit == "arima" it is not the last window's refit.
+    model: object = None
 
 
-def _resolve_order(train: TimeSeries, arima_order, caps=arima_mod.ArimaOrder(5, 2, 5)):
+def _resolve_order(train: TimeSeries, arima_order):
     if arima_order == "auto" or arima_order is None:
-        return arima_mod.select_order(train, caps).chosen
+        return arima_mod.select_order(train).chosen
     return arima_order
 
 
@@ -181,7 +184,7 @@ def sliding_window_evaluate(
 
     if kind == "arima":
         order = _resolve_order(train, arima_order)
-        model = arima_mod.fit(train, order)
+        fitted = model = arima_mod.fit(train, order)
         for j, t in enumerate(range(test_start, n)):
             hist = _history_slice(series, t, window_L)
             if refit == "arima":
@@ -198,20 +201,19 @@ def sliding_window_evaluate(
             val_windows = lstm_mod.make_windows(val.values, cfg.window_m, scale)
         rng = np.random.default_rng(cfg.seed)
         net = lstm_mod.init_network(1, cfg.hidden_dim, cfg.layers, rng)
-        lstm_mod.train(net, data, cfg, val_data=val_windows)
+        fitted = lstm_mod.train(net, data, cfg, val_data=val_windows).net
         for j, t in enumerate(range(test_start, n)):
             window = series.segment(t - cfg.window_m, t)
-            raw = lstm_mod.forward(net, minmax_scale(window, scale))
+            raw = lstm_mod.forward(fitted, minmax_scale(window, scale))
             preds[j] = float(minmax_unscale(np.array([raw]), scale)[0])
             actuals[j] = series.segment(t, t + 1)[0]
     else:
-        model = fit_hybrid(train, val, arima_order=arima_order, cfg=cfg)
-        order = model.arima.order
+        fitted = model = fit_hybrid(train, val, arima_order=arima_order, cfg=cfg)
+        order = fitted.arima.order
         for j, t in enumerate(range(test_start, n)):
             hist = _history_slice(series, t, window_L)
             if refit == "arima":
-                refit_model = arima_mod.fit(hist, order)
-                model = replace_arima(model, refit_model)
+                model = replace(fitted, arima=arima_mod.fit(hist, order))
             resid = arima_mod.residuals(model.arima, hist)
             yhat, lhat, nhat = predict_one(model, hist, resid)
             preds[j] = yhat
@@ -227,17 +229,7 @@ def sliding_window_evaluate(
         window_L=window_L,
         linear=linear,
         nonlinear=nonlinear,
-    )
-
-
-def replace_arima(model: HybridModel, new_arima) -> HybridModel:
-    return HybridModel(
-        arima=new_arima,
-        residual_net=model.residual_net,
-        residual_scale=model.residual_scale,
-        window_m=model.window_m,
-        val_mse=model.val_mse,
-        best_val_epoch=model.best_val_epoch,
+        model=fitted,
     )
 
 
@@ -256,19 +248,32 @@ def compare_models(
     refit: str = "none",
     arima_order="auto",
 ) -> CompareResult:
-    """Evaluate arima, lstm, and hybrid under identical splits and derived seeds."""
+    """Evaluate arima, lstm, and hybrid under identical splits and derived seeds.
+
+    An "auto" ARIMA order is searched once, on the training segment that the
+    arima and hybrid kinds share; if the search fails, both kinds fail with
+    its message and lstm still runs.
+    """
     from .metrics import build_report
 
     cfg = cfg or TrainConfig()
     runs, failures = {}, {}
+    order, order_failure = arima_order, None
+    try:
+        order = _resolve_order(series.slice(0, spec.train_len), arima_order)
+    except FIT_FAILURES as exc:
+        order_failure = f"{type(exc).__name__}: {exc}"
     for kind in MODEL_KINDS:
+        if order_failure is not None and kind != "lstm":
+            failures[kind] = order_failure
+            continue
         kind_cfg = replace(cfg, seed=cfg.seed + SEED_OFFSETS[kind])
         try:
             runs[kind] = sliding_window_evaluate(
                 series, spec, kind, kind_cfg,
-                window_L=window_L, refit=refit, arima_order=arima_order,
+                window_L=window_L, refit=refit, arima_order=order,
             )
-        except Exception as exc:  # one model failing must not sink the others
+        except FIT_FAILURES as exc:  # one model failing must not sink the others
             failures[kind] = f"{type(exc).__name__}: {exc}"
     if not runs:
         raise ConfigurationError("all three model evaluations failed")

@@ -71,7 +71,7 @@ class MetricsReport:
 
 
 def build_report(runs, segment: str = "test") -> MetricsReport:
-    """One row per evaluation run, ordered arima, lstm, hybrid.
+    """One row per evaluation run, ordered arima, lstm, hybrid, then any other kind.
 
     ``runs`` is an iterable of objects with model_kind, predictions, actuals.
     The best model is the lowest-MSE row; an exact tie on MSE reports "tie".
@@ -81,32 +81,19 @@ def build_report(runs, segment: str = "test") -> MetricsReport:
         if len(run.predictions) == 0:
             raise ConfigurationError(f"empty evaluation run for {run.model_kind}")
         by_kind[run.model_kind] = run
-    rows = []
-    for kind in MODEL_ORDER:
-        if kind not in by_kind:
-            continue
-        run = by_kind[kind]
-        rows.append(
-            MetricsRow(
-                model=kind,
-                mse=mse(run.predictions, run.actuals),
-                mae=mae(run.predictions, run.actuals),
-                rmse=rmse(run.predictions, run.actuals),
-                n=len(run.predictions),
-            )
+    # Stable sort: kinds outside MODEL_ORDER follow it in input order.
+    rank = {kind: i for i, kind in enumerate(MODEL_ORDER)}
+    ordered = sorted(by_kind.values(), key=lambda run: rank.get(run.model_kind, len(rank)))
+    rows = [
+        MetricsRow(
+            model=run.model_kind,
+            mse=mse(run.predictions, run.actuals),
+            mae=mae(run.predictions, run.actuals),
+            rmse=rmse(run.predictions, run.actuals),
+            n=len(run.predictions),
         )
-    for kind in by_kind:
-        if kind not in MODEL_ORDER:
-            run = by_kind[kind]
-            rows.append(
-                MetricsRow(
-                    model=kind,
-                    mse=mse(run.predictions, run.actuals),
-                    mae=mae(run.predictions, run.actuals),
-                    rmse=rmse(run.predictions, run.actuals),
-                    n=len(run.predictions),
-                )
-            )
+        for run in ordered
+    ]
     best_row = min(rows, key=lambda r: r.mse)
     ties = [r for r in rows if r.mse == best_row.mse]
     best = "tie" if len(ties) > 1 else best_row.model

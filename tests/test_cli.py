@@ -195,6 +195,47 @@ class TestCompareCommand:
         assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
         assert (out1 / "predictions.csv").read_bytes() == (out2 / "predictions.csv").read_bytes()
 
+    def test_one_order_search_and_two_trainings(self, tmp_path, monkeypatch):
+        import navcast.arima as arima_mod
+        import navcast.lstm as lstm_mod
+        calls = {"select_order": 0, "train": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(arima_mod, "select_order")
+        counting(lstm_mod, "train")
+        code, _ = self.run_compare(tmp_path)
+        assert code == EXIT_OK
+        assert calls == {"select_order": 1, "train": 2}
+
+    def test_models_are_the_training_segment_hybrid_under_refit(self, tmp_path):
+        from dataclasses import replace
+
+        import navcast.arima as arima_mod
+        import navcast.lstm as lstm_mod
+        from navcast.hybrid import SEED_OFFSETS, fit_hybrid
+        from navcast.lstm import TrainConfig
+
+        seed = 7
+        code, out = self.run_compare(tmp_path, seed=seed, extra=["--refit", "arima"])
+        assert code == EXIT_OK
+        # Reference: the hybrid fitted again on its own, as compare did before
+        # it wrote models/ from the evaluated run.
+        series = ingest_csv(tmp_path / "series.csv")
+        spec = SplitSpec.proportional(len(series))
+        cfg = TrainConfig(epochs=5, layers=1, hidden_dim=8, window_m=10, batch_size=32, seed=seed)
+        train = series.slice(0, spec.train_len)
+        val = series.slice(spec.train_len, spec.train_len + spec.val_len)
+        ref = fit_hybrid(train, val, "auto", replace(cfg, seed=seed + SEED_OFFSETS["hybrid"]))
+        assert (out / "models" / "arima.txt").read_text() == arima_mod.serialize(ref.arima)
+        assert (out / "models" / "lstm.txt").read_text() == lstm_mod.serialize(ref.residual_net)
+
     def test_model_files_deserializable(self, tmp_path):
         import navcast.arima as arima_mod
         import navcast.lstm as lstm_mod
@@ -229,6 +270,16 @@ class TestExitCodes:
 
     def test_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    def test_non_numeric_synth_param(self, tmp_path, capsys):
+        code = main(["synth", "--param", "sigma=abc", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "sigma=abc" in capsys.readouterr().err
+
+    def test_fit_hybrid_has_no_evaluation_flags(self, tmp_path):
+        for flag in (["--refit", "arima"], ["--window-L", "60"]):
+            argv = ["fit-hybrid", "--input", str(tmp_path / "x.csv")] + flag
+            assert main(argv) == EXIT_USAGE
 
     def test_analysis_error_on_tiny_series(self, tmp_path):
         p = tmp_path / "tiny.csv"

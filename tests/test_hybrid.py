@@ -3,7 +3,7 @@ import pytest
 
 import navcast.arima as arima
 from navcast.cli import generate_synthetic
-from navcast.errors import ConfigurationError, DegenerateInputError
+from navcast.errors import AnalysisError, ConfigurationError, DegenerateInputError
 from navcast.hybrid import (
     HybridModel,
     compare_models,
@@ -11,7 +11,7 @@ from navcast.hybrid import (
     predict_one,
     sliding_window_evaluate,
 )
-from navcast.lstm import TrainConfig, init_network
+from navcast.lstm import LstmNetwork, TrainConfig, init_network
 from navcast.series import SplitSpec, TimeSeries
 from navcast.metrics import mse
 from conftest import as_series
@@ -180,6 +180,44 @@ class TestCompareModels:
         r2 = compare_models(s, spec, FAST)
         for kind in ("arima", "lstm", "hybrid"):
             assert np.array_equal(r1.runs[kind].predictions, r2.runs[kind].predictions)
+
+    def test_runs_carry_the_training_segment_fit(self):
+        s = sine_walk(300, seed=17)
+        spec = SplitSpec(200, 40, 60)
+        order = arima.ArimaOrder(1, 1, 0)
+        res = compare_models(s, spec, FAST, refit="arima", arima_order=order)
+        train_fit = arima.fit(s.slice(0, 200), order)
+        assert np.array_equal(res.runs["arima"].model.ar_coeffs, train_fit.ar_coeffs)
+        assert isinstance(res.runs["lstm"].model, LstmNetwork)
+        hybrid = res.runs["hybrid"].model
+        assert isinstance(hybrid, HybridModel)
+        assert np.array_equal(hybrid.arima.ar_coeffs, train_fit.ar_coeffs)
+
+    def test_failed_order_search_fails_arima_and_hybrid_once(self, monkeypatch):
+        calls = []
+
+        def failing_search(series, *args, **kwargs):
+            calls.append(len(series))
+            raise AnalysisError("no ARIMA candidate converged")
+        monkeypatch.setattr(arima, "select_order", failing_search)
+        s = sine_walk(300, seed=18)
+        res = compare_models(s, SplitSpec(200, 40, 60), FAST)
+        assert calls == [200]
+        assert list(res.failures) == ["arima", "hybrid"]
+        assert res.failures["arima"] == res.failures["hybrid"] == (
+            "AnalysisError: no ARIMA candidate converged")
+        assert list(res.runs) == ["lstm"]
+
+    def test_programming_error_propagates(self, monkeypatch):
+        import navcast.lstm as lstm_mod
+
+        def broken_train(*args, **kwargs):
+            raise TypeError("broken training code")
+        monkeypatch.setattr(lstm_mod, "train", broken_train)
+        s = sine_walk(300, seed=19)
+        with pytest.raises(TypeError, match="broken training code"):
+            compare_models(s, SplitSpec(200, 40, 60), FAST,
+                           arima_order=arima.ArimaOrder(0, 1, 0))
 
     def test_one_failure_does_not_sink_the_rest(self):
         # Constant-ish series: LSTM scaling of a constant train segment fails,
