@@ -365,6 +365,14 @@ def main(argv=None) -> int:
                 except ValueError:
                     raise ConfigurationError(f"bad --param {item!r}, value must be a number")
             series = generate_synthetic(args.kind, args.n, params, args.seed)
+            # Write only what ingest_csv accepts (TimeSeries already refuses
+            # non-finite values): NAVs must be positive.
+            bad = np.flatnonzero(series.values <= 0)
+            if len(bad):
+                raise ConfigurationError(
+                    f"synthetic value at index {bad[0]} is {float(series.values[bad[0]])!r}, "
+                    "not a positive NAV; raise --param base"
+                )
             out_dir.mkdir(parents=True, exist_ok=True)
             target = Path(args.output) if args.output else out_dir / "synthetic.csv"
             write_series_csv(target, series)

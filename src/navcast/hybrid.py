@@ -55,6 +55,8 @@ class EvalRun:
     # The fit on the training segment (ArimaModel, LstmNetwork or
     # HybridModel); under refit == "arima" it is not the last window's refit.
     model: object = None
+    # arima only: the ArimaModel that made each step's forecast.
+    step_models: tuple = ()
 
 
 def _resolve_order(train: TimeSeries, arima_order):
@@ -154,12 +156,19 @@ def sliding_window_evaluate(
     window_L: int = DEFAULT_WINDOW_L,
     refit: str = "none",
     arima_order="auto",
+    *,
+    arima_run: EvalRun | None = None,
 ) -> EvalRun:
     """Walk the test segment one step at a time with a trailing history window.
 
     Models are fit once on the training segment (ARIMA coefficients are refit
     on each step's window when refit == "arima"); every prediction for test
     index t reads observations strictly before t.
+
+    The hybrid's linear part is the arima kind's forecast: the hybrid kind
+    uses the order and the per-step models of `arima_run`, an arima run of the
+    same series, split and window_L, and evaluates one itself when none is
+    given.
     """
     if kind not in MODEL_KINDS:
         raise ConfigurationError(f"unknown model kind {kind!r}")
@@ -181,6 +190,7 @@ def sliding_window_evaluate(
     actuals = np.empty(spec.test_len)
     linear = np.empty(spec.test_len) if kind == "hybrid" else None
     nonlinear = np.empty(spec.test_len) if kind == "hybrid" else None
+    step_models = []
 
     if kind == "arima":
         order = _resolve_order(train, arima_order)
@@ -189,6 +199,7 @@ def sliding_window_evaluate(
             hist = _history_slice(series, t, window_L)
             if refit == "arima":
                 model = arima_mod.fit(hist, order)
+            step_models.append(model)
             preds[j] = arima_mod.forecast_one(model, hist)
             actuals[j] = series.segment(t, t + 1)[0]
     elif kind == "lstm":
@@ -208,12 +219,16 @@ def sliding_window_evaluate(
             preds[j] = float(minmax_unscale(np.array([raw]), scale)[0])
             actuals[j] = series.segment(t, t + 1)[0]
     else:
-        fitted = model = fit_hybrid(train, val, arima_order=arima_order, cfg=cfg)
-        order = fitted.arima.order
+        if arima_run is None:
+            arima_run = sliding_window_evaluate(
+                series, spec, "arima", cfg, window_L, refit, arima_order)
+        elif (arima_run.window_L, arima_run.timestamps) != (
+                window_L, series.timestamps[test_start:n]):
+            raise ConfigurationError("arima_run was evaluated on another test walk")
+        fitted = fit_hybrid(train, val, arima_order=arima_run.model.order, cfg=cfg)
         for j, t in enumerate(range(test_start, n)):
             hist = _history_slice(series, t, window_L)
-            if refit == "arima":
-                model = replace(fitted, arima=arima_mod.fit(hist, order))
+            model = replace(fitted, arima=arima_run.step_models[j])
             resid = arima_mod.residuals(model.arima, hist)
             yhat, lhat, nhat = predict_one(model, hist, resid)
             preds[j] = yhat
@@ -230,6 +245,7 @@ def sliding_window_evaluate(
         linear=linear,
         nonlinear=nonlinear,
         model=fitted,
+        step_models=tuple(step_models),
     )
 
 
@@ -250,28 +266,26 @@ def compare_models(
 ) -> CompareResult:
     """Evaluate arima, lstm, and hybrid under identical splits and derived seeds.
 
-    An "auto" ARIMA order is searched once, on the training segment that the
-    arima and hybrid kinds share; if the search fails, both kinds fail with
-    its message and lstm still runs.
+    The test segment is walked with ARIMA once: the arima kind runs the one
+    order search and every trailing-window refit, and the hybrid kind adds its
+    residual correction to that run's forecasts.  If the arima kind fails (search,
+    training fit or a refit), hybrid fails with the same message without
+    running; lstm still runs.
     """
     from .metrics import build_report
 
     cfg = cfg or TrainConfig()
     runs, failures = {}, {}
-    order, order_failure = arima_order, None
-    try:
-        order = _resolve_order(series.slice(0, spec.train_len), arima_order)
-    except FIT_FAILURES as exc:
-        order_failure = f"{type(exc).__name__}: {exc}"
     for kind in MODEL_KINDS:
-        if order_failure is not None and kind != "lstm":
-            failures[kind] = order_failure
+        if kind == "hybrid" and "arima" in failures:
+            failures[kind] = failures["arima"]
             continue
         kind_cfg = replace(cfg, seed=cfg.seed + SEED_OFFSETS[kind])
         try:
             runs[kind] = sliding_window_evaluate(
                 series, spec, kind, kind_cfg,
-                window_L=window_L, refit=refit, arima_order=order,
+                window_L=window_L, refit=refit, arima_order=arima_order,
+                arima_run=runs["arima"] if kind == "hybrid" else None,
             )
         except FIT_FAILURES as exc:  # one model failing must not sink the others
             failures[kind] = f"{type(exc).__name__}: {exc}"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError, NumericalError
+from .errors import ConfigurationError, DegenerateInputError, FitError, NumericalError
 from .series import ScaleParams, minmax_scale
 
 
@@ -175,15 +175,24 @@ def cell_forward(params: LstmCellParams, x: np.ndarray, prev: LstmState) -> Lstm
         raise ConfigurationError(
             f"concatenated input has length {a.shape[0]}, expected {params.W_f.shape[1]}"
         )
-    f = _sigmoid(params.W_f @ a + params.b_f)
-    i = _sigmoid(params.W_i @ a + params.b_i)
-    c_tilde = np.tanh(params.W_c @ a + params.b_c)
-    C = f * prev.C + i * c_tilde
-    o = _sigmoid(params.W_o @ a + params.b_o)
-    h = o * np.tanh(C)
+    *_, C, _, h = _cell_step(params, a[None, :], prev.C)
     if not (np.all(np.isfinite(C)) and np.all(np.isfinite(h))):
         raise NumericalError("non-finite cell state")
-    return LstmState(h=h, C=C)
+    return LstmState(h=h[0], C=C[0])
+
+
+def _cell_step(layer: LstmCellParams, a: np.ndarray, C: np.ndarray):
+    """Cell update on rows a = [h_prev, x] of shape (B, H + d_in) and state C.
+
+    Returns (f, i, c_tilde, o, C_new, tanh(C_new), h), each (B, H).
+    """
+    f = _sigmoid(a @ layer.W_f.T + layer.b_f)
+    i = _sigmoid(a @ layer.W_i.T + layer.b_i)
+    c_tilde = np.tanh(a @ layer.W_c.T + layer.b_c)
+    o = _sigmoid(a @ layer.W_o.T + layer.b_o)
+    C_new = f * C + i * c_tilde
+    tC = np.tanh(C_new)
+    return f, i, c_tilde, o, C_new, tC, o * tC
 
 
 def _forward_batch(net: LstmNetwork, X: np.ndarray, want_cache: bool = False):
@@ -203,13 +212,7 @@ def _forward_batch(net: LstmNetwork, X: np.ndarray, want_cache: bool = False):
         outputs = np.empty((B, m, H))
         for t in range(m):
             a = np.concatenate((h, inputs[:, t, :]), axis=1)  # (B, H + d_in)
-            f = _sigmoid(a @ layer.W_f.T + layer.b_f)
-            i = _sigmoid(a @ layer.W_i.T + layer.b_i)
-            c_tilde = np.tanh(a @ layer.W_c.T + layer.b_c)
-            o = _sigmoid(a @ layer.W_o.T + layer.b_o)
-            C_new = f * C + i * c_tilde
-            tC = np.tanh(C_new)
-            h = o * tC
+            f, i, c_tilde, o, C_new, tC, h = _cell_step(layer, a, C)
             if want_cache:
                 steps.append((a, f, i, c_tilde, o, C, tC))
             C = C_new
@@ -297,7 +300,7 @@ def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
             dC_next = dC * f
         for name in PARAM_FIELDS:
             if not np.all(np.isfinite(getattr(g, name))):
-                raise NumericalError(f"non-finite gradient in layer {li} {name}")
+                raise FitError(f"non-finite gradient in layer {li} {name}")
         grads.append(g)
         if li > 0:
             d_out = d_inputs

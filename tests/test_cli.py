@@ -1,12 +1,17 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navcast.cli import (
     EXIT_ANALYSIS,
     EXIT_INGESTION,
     EXIT_OK,
+    EXIT_TRAINING,
     EXIT_USAGE,
     generate_synthetic,
     ingest_csv,
@@ -236,6 +241,41 @@ class TestCompareCommand:
         assert (out / "models" / "arima.txt").read_text() == arima_mod.serialize(ref.arima)
         assert (out / "models" / "lstm.txt").read_text() == lstm_mod.serialize(ref.residual_net)
 
+    def test_one_arima_walk_under_refit(self, tmp_path, monkeypatch):
+        import navcast.arima as arima_mod
+        original, calls = arima_mod.fit, []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(arima_mod, "fit", counting_fit)
+        code, _ = self.run_compare(tmp_path, extra=["--order", "1,1,0", "--refit", "arima"])
+        assert code == EXIT_OK
+        test_len = SplitSpec.proportional(180).test_len
+        # the arima kind's training fit and one refit per test step, plus the
+        # hybrid's training fit; the hybrid reuses the arima kind's refits
+        assert len(calls) == 2 + test_len
+
+    def test_failed_refit_fails_arima_and_hybrid_once(self, tmp_path, monkeypatch):
+        import navcast.arima as arima_mod
+        from navcast.errors import FitError
+        original, refits = arima_mod.fit, []
+
+        def failing_refit(series, order):
+            if len(series) == 60:  # a trailing window of --window-L 60
+                refits.append(1)
+                raise FitError("refit diverged")
+            return original(series, order)
+        monkeypatch.setattr(arima_mod, "fit", failing_refit)
+        code, out = self.run_compare(
+            tmp_path, extra=["--order", "1,1,0", "--refit", "arima", "--window-L", "60"])
+        assert code == EXIT_TRAINING
+        assert refits == [1]
+        payload = json.loads((out / "metrics.json").read_text())
+        assert payload["failed"] == {"arima": "FitError: refit diverged",
+                                     "hybrid": "FitError: refit diverged"}
+        assert [r["model"] for r in payload["rows"]] == ["lstm"]
+
     def test_model_files_deserializable(self, tmp_path):
         import navcast.arima as arima_mod
         import navcast.lstm as lstm_mod
@@ -262,6 +302,39 @@ class TestSynthCommand:
         assert np.max(np.abs(np.diff(s.values))) < 0.01
 
 
+    def test_non_positive_values_refused(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["synth", "--kind", "linear-plus-sine", "--n", "300",
+                     "--param", "amplitude=4", "--param", "sigma=0.001",
+                     "--param", "period=25", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "index 15" in capsys.readouterr().err
+        assert not out.exists()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["random-walk", "ar1", "linear-plus-sine"]),
+        n=st.integers(30, 60),
+        seed=st.integers(0, 2**16),
+        base=st.floats(-2.0, 5.0),
+        amplitude=st.floats(0.0, 4.0),
+        sigma=st.floats(0.0, 1.0),
+    )
+    def test_writes_only_what_ingest_accepts(self, kind, n, seed, base, amplitude, sigma):
+        params = ["--param", f"base={base!r}", "--param", f"sigma={sigma!r}"]
+        if kind == "linear-plus-sine":
+            params += ["--param", f"amplitude={amplitude!r}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "s.csv"
+            code = main(["synth", "--kind", kind, "--n", str(n), "--seed", str(seed),
+                         "--out", tmp, "--output", str(target)] + params)
+            if code == EXIT_USAGE:
+                assert not target.exists()
+            else:
+                assert code == EXIT_OK
+                assert len(ingest_csv(target)) == n
+
+
 class TestExitCodes:
     def test_missing_input_file(self, tmp_path):
         code = main(["analyze", "--input", str(tmp_path / "nope.csv"),
@@ -280,6 +353,15 @@ class TestExitCodes:
         for flag in (["--refit", "arima"], ["--window-L", "60"]):
             argv = ["fit-hybrid", "--input", str(tmp_path / "x.csv")] + flag
             assert main(argv) == EXIT_USAGE
+
+    def test_training_divergence(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 200, seed=0))
+        code = main(["fit-hybrid", "--input", str(csv), "--out", str(tmp_path / "o"),
+                     "--order", "1,1,0", "--lr", "1e300", "--epochs", "3",
+                     "--layers", "1", "--hidden", "4"])
+        assert code == EXIT_TRAINING
+        assert "non-finite gradient" in capsys.readouterr().err
 
     def test_analysis_error_on_tiny_series(self, tmp_path):
         p = tmp_path / "tiny.csv"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import navcast.arima as arima
 from navcast.cli import generate_synthetic
 from navcast.errors import AnalysisError, ConfigurationError, DegenerateInputError
 from navcast.hybrid import (
+    SEED_OFFSETS,
     HybridModel,
     compare_models,
     fit_hybrid,
@@ -121,6 +124,27 @@ class TestSlidingWindowEvaluate:
                                         arima_order=arima.ArimaOrder(1, 1, 0))
         assert not np.array_equal(base.predictions, refit.predictions)
 
+    def test_step_models_record_each_forecasting_model(self):
+        s = sine_walk(300, seed=11)
+        spec = SplitSpec(200, 40, 60)
+        order = arima.ArimaOrder(1, 1, 0)
+        base = sliding_window_evaluate(s, spec, "arima", FAST, arima_order=order)
+        assert len(base.step_models) == 60
+        assert all(m is base.model for m in base.step_models)
+        refit = sliding_window_evaluate(s, spec, "arima", FAST, refit="arima",
+                                        arima_order=order)
+        assert len(refit.step_models) == 60
+        last = arima.fit(s.slice(200 + 40 + 59 - 120, 299), order)
+        assert np.array_equal(refit.step_models[-1].ar_coeffs, last.ar_coeffs)
+
+    def test_arima_run_of_another_walk_rejected(self):
+        s = sine_walk(300, seed=12)
+        spec = SplitSpec(200, 40, 60)
+        run = sliding_window_evaluate(s, spec, "arima", FAST, window_L=60,
+                                      arima_order=arima.ArimaOrder(1, 1, 0))
+        with pytest.raises(ConfigurationError):
+            sliding_window_evaluate(s, spec, "hybrid", FAST, arima_run=run)
+
     def test_unknown_kind(self):
         s = sine_walk(300, seed=12)
         with pytest.raises(ConfigurationError):
@@ -192,6 +216,16 @@ class TestCompareModels:
         hybrid = res.runs["hybrid"].model
         assert isinstance(hybrid, HybridModel)
         assert np.array_equal(hybrid.arima.ar_coeffs, train_fit.ar_coeffs)
+
+    def test_hybrid_adds_its_correction_to_the_arima_run(self):
+        s = sine_walk(300, seed=20)
+        spec = SplitSpec(200, 40, 60)
+        res = compare_models(s, spec, FAST, refit="arima")
+        alone = sliding_window_evaluate(
+            s, spec, "hybrid", replace(FAST, seed=FAST.seed + SEED_OFFSETS["hybrid"]),
+            refit="arima")
+        assert np.array_equal(res.runs["hybrid"].predictions, alone.predictions)
+        assert np.array_equal(res.runs["hybrid"].linear, res.runs["arima"].predictions)
 
     def test_failed_order_search_fails_arima_and_hybrid_once(self, monkeypatch):
         calls = []
