@@ -28,6 +28,6 @@ model = nc.fit(series, nc.ArimaOrder(2, 1, 0))
 print(f"\nARIMA(2,1,0) AR coefficients: {np.round(model.ar_coeffs, 3)} (truth {phi})")
 print(f"innovation variance: {model.sigma2:.2e} (truth 1.00e-04)")
 
-chosen = nc.fit(series, report.chosen)
+chosen = report.model  # the search already fitted the chosen order
 print(f"next-step forecast ({report.chosen}): {nc.forecast_one(chosen, series):.4f} "
       f"(last observation {series.values[-1]:.4f})")

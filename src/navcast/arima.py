@@ -78,6 +78,7 @@ class ArimaModel:
 class OrderSearchReport:
     candidates: list = field(default_factory=list)  # (ArimaOrder, aic, converged)
     chosen: ArimaOrder = None
+    model: ArimaModel = None  # the search's own fit of the chosen order
 
 
 def _arma_residuals(z, phi, theta):
@@ -214,20 +215,31 @@ def select_order(series: TimeSeries, caps: ArimaOrder = ArimaOrder(5, 2, 5)) -> 
             f"series is not stationary after up to {caps.d} differences; "
             "unsuitable for ARIMA modelling"
         )
-    candidates = []
+    candidates, fits = [], {}
     for p in range(caps.p + 1):
         for q in range(caps.q + 1):
             order = ArimaOrder(p, d_chosen, q)
             try:
-                model = fit(series, order)
-                candidates.append((order, aic(model), True))
+                fits[order] = fit(series, order)
+                candidates.append((order, aic(fits[order]), True))
             except FIT_FAILURES:
                 candidates.append((order, float("inf"), False))
     converged = [c for c in candidates if c[2]]
     if not converged:
         raise AnalysisError("no ARIMA candidate converged")
     chosen = min(converged, key=lambda c: (c[1], c[0].p + c[0].q, c[0].p))[0]
-    return OrderSearchReport(candidates=candidates, chosen=chosen)
+    return OrderSearchReport(candidates=candidates, chosen=chosen, model=fits[chosen])
+
+
+def _fit_or_search(series: TimeSeries, order) -> ArimaModel:
+    """Fit a fixed order, or for "auto" return the order search's chosen fit.
+
+    Private on purpose: outside-in tracing wraps every public function, and a
+    public wrapper would time the whole search as one fit.
+    """
+    if order == "auto":
+        return select_order(series).model
+    return fit(series, order)
 
 
 def _forecast_differenced(model: ArimaModel, history: TimeSeries) -> float:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .hybrid import DEFAULT_WINDOW_L, compare_models, fit_hybrid
 from .lstm import TrainConfig
-from .metrics import format_table
+from .metrics import MODEL_KINDS, format_table
 from .series import SplitSpec, TimeSeries, acf, adf_test, difference, pacf
 
 EXIT_OK = 0
@@ -180,9 +180,7 @@ def _write_models(out_dir: Path, arima_model, residual_net=None):
 
 
 def cmd_fit_arima(series: TimeSeries, order, out_dir: Path) -> arima_mod.ArimaModel:
-    if order == "auto":
-        order = arima_mod.select_order(series).chosen
-    model = arima_mod.fit(series, order)
+    model = arima_mod._fit_or_search(series, order)
     _write_models(out_dir, model)
     return model
 
@@ -191,7 +189,7 @@ def cmd_fit_hybrid(series: TimeSeries, spec: SplitSpec, order, cfg: TrainConfig,
     test_start = spec.train_len + spec.val_len
     train = series.slice(0, spec.train_len)
     val = series.slice(spec.train_len, test_start)
-    model = fit_hybrid(train, val, arima_order=order, cfg=cfg)
+    model = fit_hybrid(train, val, arima_mod._fit_or_search(train, order), cfg)
     _write_models(out_dir, model.arima, model.residual_net)
     summary = {
         "arima_order": [model.arima.order.p, model.arima.order.d, model.arima.order.q],
@@ -225,7 +223,7 @@ def cmd_compare(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig, out_dir: 
         fh.write("date,actual,arima,lstm,hybrid\n")
         for j, (ts, actual) in enumerate(zip(dates, actuals)):
             cells = [ts.isoformat(), repr(float(actual))]
-            for kind in ("arima", "lstm", "hybrid"):
+            for kind in MODEL_KINDS:
                 run = result.runs.get(kind)
                 cells.append(repr(float(run.predictions[j])) if run is not None else "")
             fh.write(",".join(cells) + "\n")
@@ -364,9 +362,11 @@ def main(argv=None) -> int:
                     params[key] = float(value)
                 except ValueError:
                     raise ConfigurationError(f"bad --param {item!r}, value must be a number")
-            series = generate_synthetic(args.kind, args.n, params, args.seed)
-            # Write only what ingest_csv accepts (TimeSeries already refuses
-            # non-finite values): NAVs must be positive.
+            # Write only what ingest_csv accepts: finite, positive NAVs.
+            try:
+                series = generate_synthetic(args.kind, args.n, params, args.seed)
+            except (DegenerateInputError, ValueError) as exc:  # non-finite values, sigma < 0
+                raise ConfigurationError(f"bad --param values: {exc}")
             bad = np.flatnonzero(series.values <= 0)
             if len(bad):
                 raise ConfigurationError(

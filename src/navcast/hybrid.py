@@ -16,7 +16,8 @@ import numpy as np
 from . import arima as arima_mod
 from . import lstm as lstm_mod
 from .errors import FIT_FAILURES, ConfigurationError, DegenerateInputError
-from .lstm import LstmNetwork, SupervisedWindowSet, TrainConfig
+from .lstm import LstmNetwork, TrainConfig
+from .metrics import MODEL_KINDS, build_report
 from .series import (
     ScaleParams,
     SplitSpec,
@@ -26,7 +27,6 @@ from .series import (
     minmax_unscale,
 )
 
-MODEL_KINDS = ("arima", "lstm", "hybrid")
 DEFAULT_WINDOW_L = 120
 
 # Fixed seed offsets so the three model evaluations draw independent streams.
@@ -59,28 +59,42 @@ class EvalRun:
     step_models: tuple = ()
 
 
-def _resolve_order(train: TimeSeries, arima_order):
-    if arima_order == "auto" or arima_order is None:
-        return arima_mod.select_order(train).chosen
-    return arima_order
+def _train_net(stream, continued, scale: ScaleParams, cfg: TrainConfig):
+    """Train a fresh net, seeded by cfg.seed, on the windows of `stream`.
+
+    `continued`, when given, is the same stream continued through the
+    validation segment; the windows of its continuation feed the per-epoch
+    validation loss.
+    """
+    m = cfg.window_m
+    data = lstm_mod.make_windows(stream, m, scale)
+    val_windows = None
+    if continued is not None and len(continued) > len(stream):
+        val_windows = lstm_mod.make_windows(continued[len(stream) - m:], m, scale)
+    net = lstm_mod.init_network(1, cfg.hidden_dim, cfg.layers, np.random.default_rng(cfg.seed))
+    return lstm_mod.train(net, data, cfg, val_data=val_windows)
+
+
+def _net_forecast(net: LstmNetwork, window, scale: ScaleParams) -> float:
+    """Scale a window, run it through the net and unscale the output."""
+    raw = lstm_mod.forward(net, minmax_scale(window, scale))
+    return float(minmax_unscale(np.array([raw]), scale)[0])
 
 
 def fit_hybrid(
     train: TimeSeries,
     val: TimeSeries | None,
-    arima_order="auto",
+    arima_model: arima_mod.ArimaModel,
     cfg: TrainConfig = None,
 ) -> HybridModel:
-    """Fit ARIMA on train, then train the residual LSTM on its in-sample errors.
+    """Train the residual LSTM on the in-sample errors of `arima_model`.
 
-    The validation segment, when given, only produces a per-epoch quality
-    trace (best-epoch validation MSE is recorded); final weights are always
-    last-epoch.
+    `arima_model` is an ARIMA model already fitted on train.  The validation
+    segment, when given, only produces a per-epoch quality trace (best-epoch
+    validation MSE is recorded); final weights are always last-epoch.
     """
     cfg = cfg or TrainConfig()
-    order = _resolve_order(train, arima_order)
-    model = arima_mod.fit(train, order)
-    resid = arima_mod.residuals(model, train)
+    resid = arima_mod.residuals(arima_model, train)
     if len(resid) <= cfg.window_m:
         raise ConfigurationError(
             f"{len(resid)} training residuals cannot fill windows of length {cfg.window_m}"
@@ -92,9 +106,8 @@ def fit_hybrid(
     if bound == 0.0:
         raise DegenerateInputError("all training residuals are zero")
     scale = ScaleParams(-bound, bound, -1.0, 1.0)
-    data = lstm_mod.make_windows(resid, cfg.window_m, scale)
 
-    val_windows = None
+    continued = None
     if val is not None and len(val) > 0:
         # Residual stream continued through the validation segment: the model
         # stays fixed, only the data window extends.
@@ -103,19 +116,13 @@ def fit_hybrid(
             np.concatenate((train.values, val.values)),
             train.name,
         )
-        joint_resid = arima_mod.residuals(model, joint)
-        val_resid = joint_resid[-(len(val) + cfg.window_m):]
-        if len(val_resid) > cfg.window_m:
-            val_windows = lstm_mod.make_windows(val_resid, cfg.window_m, scale)
-
-    rng = np.random.default_rng(cfg.seed)
-    net = lstm_mod.init_network(1, cfg.hidden_dim, cfg.layers, rng)
-    result = lstm_mod.train(net, data, cfg, val_data=val_windows)
+        continued = arima_mod.residuals(arima_model, joint)
+    result = _train_net(resid, continued, scale, cfg)
     val_mse = None
     if result.val_losses is not None:
         val_mse = float(result.val_losses[result.best_val_epoch])
     return HybridModel(
-        arima=model,
+        arima=arima_model,
         residual_net=result.net,
         residual_scale=scale,
         window_m=cfg.window_m,
@@ -124,21 +131,24 @@ def fit_hybrid(
     )
 
 
+def _correction(model: HybridModel, recent_residuals) -> float:
+    """The residual net's nonlinear correction from the latest residuals."""
+    resid = np.asarray(recent_residuals, dtype=float)
+    if len(resid) < model.window_m:
+        raise DegenerateInputError(
+            f"need {model.window_m} recent residuals, got {len(resid)}"
+        )
+    return _net_forecast(model.residual_net, resid[-model.window_m:], model.residual_scale)
+
+
 def predict_one(model: HybridModel, history: TimeSeries, recent_residuals):
     """One-step hybrid forecast; returns (yhat, linear, nonlinear).
 
     yhat is exactly linear + nonlinear: the superposition is an identity, not
     an approximation.
     """
-    resid = np.asarray(recent_residuals, dtype=float)
-    if len(resid) < model.window_m:
-        raise DegenerateInputError(
-            f"need {model.window_m} recent residuals, got {len(resid)}"
-        )
+    nhat = _correction(model, recent_residuals)
     lhat = arima_mod.forecast_one(model.arima, history)
-    window = minmax_scale(resid[-model.window_m:], model.residual_scale)
-    raw = lstm_mod.forward(model.residual_net, window)
-    nhat = float(minmax_unscale(np.array([raw]), model.residual_scale)[0])
     return lhat + nhat, lhat, nhat
 
 
@@ -166,9 +176,10 @@ def sliding_window_evaluate(
     index t reads observations strictly before t.
 
     The hybrid's linear part is the arima kind's forecast: the hybrid kind
-    uses the order and the per-step models of `arima_run`, an arima run of the
-    same series, split and window_L, and evaluates one itself when none is
-    given.
+    trains on the training fit of `arima_run`, an arima run of the same
+    series, split and window_L, takes that run's forecasts as its linear part
+    and adds only its residual correction, computed with that run's per-step
+    models.  It evaluates an arima run itself when none is given.
     """
     if kind not in MODEL_KINDS:
         raise ConfigurationError(f"unknown model kind {kind!r}")
@@ -188,17 +199,15 @@ def sliding_window_evaluate(
 
     preds = np.empty(spec.test_len)
     actuals = np.empty(spec.test_len)
-    linear = np.empty(spec.test_len) if kind == "hybrid" else None
-    nonlinear = np.empty(spec.test_len) if kind == "hybrid" else None
+    linear = nonlinear = None
     step_models = []
 
     if kind == "arima":
-        order = _resolve_order(train, arima_order)
-        fitted = model = arima_mod.fit(train, order)
+        fitted = model = arima_mod._fit_or_search(train, arima_order)
         for j, t in enumerate(range(test_start, n)):
             hist = _history_slice(series, t, window_L)
             if refit == "arima":
-                model = arima_mod.fit(hist, order)
+                model = arima_mod.fit(hist, fitted.order)
             step_models.append(model)
             preds[j] = arima_mod.forecast_one(model, hist)
             actuals[j] = series.segment(t, t + 1)[0]
@@ -206,17 +215,10 @@ def sliding_window_evaluate(
         # Single-model baseline: trained on scaled raw levels with the same
         # window and config as the residual net.
         scale = fit_scale(train.values)
-        data = lstm_mod.make_windows(train.values, cfg.window_m, scale)
-        val_windows = None
-        if len(val) > cfg.window_m:
-            val_windows = lstm_mod.make_windows(val.values, cfg.window_m, scale)
-        rng = np.random.default_rng(cfg.seed)
-        net = lstm_mod.init_network(1, cfg.hidden_dim, cfg.layers, rng)
-        fitted = lstm_mod.train(net, data, cfg, val_data=val_windows).net
+        fitted = _train_net(
+            train.values, np.concatenate((train.values, val.values)), scale, cfg).net
         for j, t in enumerate(range(test_start, n)):
-            window = series.segment(t - cfg.window_m, t)
-            raw = lstm_mod.forward(fitted, minmax_scale(window, scale))
-            preds[j] = float(minmax_unscale(np.array([raw]), scale)[0])
+            preds[j] = _net_forecast(fitted, series.segment(t - cfg.window_m, t), scale)
             actuals[j] = series.segment(t, t + 1)[0]
     else:
         if arima_run is None:
@@ -225,16 +227,15 @@ def sliding_window_evaluate(
         elif (arima_run.window_L, arima_run.timestamps) != (
                 window_L, series.timestamps[test_start:n]):
             raise ConfigurationError("arima_run was evaluated on another test walk")
-        fitted = fit_hybrid(train, val, arima_order=arima_run.model.order, cfg=cfg)
+        fitted = fit_hybrid(train, val, arima_run.model, cfg)
+        linear = arima_run.predictions.copy()
+        nonlinear = np.empty(spec.test_len)
         for j, t in enumerate(range(test_start, n)):
             hist = _history_slice(series, t, window_L)
-            model = replace(fitted, arima=arima_run.step_models[j])
-            resid = arima_mod.residuals(model.arima, hist)
-            yhat, lhat, nhat = predict_one(model, hist, resid)
-            preds[j] = yhat
-            linear[j] = lhat
-            nonlinear[j] = nhat
+            resid = arima_mod.residuals(arima_run.step_models[j], hist)
+            nonlinear[j] = _correction(fitted, resid)
             actuals[j] = series.segment(t, t + 1)[0]
+        preds = linear + nonlinear
 
     return EvalRun(
         model_kind=kind,
@@ -272,8 +273,6 @@ def compare_models(
     training fit or a refit), hybrid fails with the same message without
     running; lstm still runs.
     """
-    from .metrics import build_report
-
     cfg = cfg or TrainConfig()
     runs, failures = {}, {}
     for kind in MODEL_KINDS:

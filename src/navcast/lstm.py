@@ -134,13 +134,11 @@ def init_network(
     hidden_dim: int,
     n_layers: int,
     rng: np.random.Generator,
-    zero_head: bool = True,
 ) -> LstmNetwork:
     """Uniform(-k, k) weights with k = 1/sqrt(fan-in); forget bias starts at 1.
 
-    The output head starts at zero by default so an untrained net predicts the
-    head bias (zero): the hybrid model then begins exactly at its linear
-    baseline.
+    The output head starts at zero so an untrained net predicts the head bias
+    (zero): the hybrid model then begins exactly at its linear baseline.
     """
     layers = []
     d_in = input_dim
@@ -158,12 +156,7 @@ def init_network(
             )
         )
         d_in = hidden_dim
-    if zero_head:
-        head_w = np.zeros(hidden_dim)
-    else:
-        k = 1.0 / np.sqrt(hidden_dim)
-        head_w = rng.uniform(-k, k, size=hidden_dim)
-    net = LstmNetwork(layers=layers, head_w=head_w, head_b=0.0)
+    net = LstmNetwork(layers=layers, head_w=np.zeros(hidden_dim), head_b=0.0)
     net.check()
     return net
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-MODEL_ORDER = ("arima", "lstm", "hybrid")
+MODEL_KINDS = ("arima", "lstm", "hybrid")
 
 
 def _check_pair(pred, actual):
@@ -44,7 +44,6 @@ class MetricsRow:
     mae: float
     rmse: float
     n: int
-    failed: bool = False
 
 
 @dataclass(frozen=True)
@@ -52,12 +51,6 @@ class MetricsReport:
     segment: str
     rows: tuple
     best: str = ""
-
-    def row(self, model: str) -> MetricsRow:
-        for r in self.rows:
-            if r.model == model:
-                return r
-        raise KeyError(model)
 
     def to_dict(self) -> dict:
         return {
@@ -81,8 +74,8 @@ def build_report(runs, segment: str = "test") -> MetricsReport:
         if len(run.predictions) == 0:
             raise ConfigurationError(f"empty evaluation run for {run.model_kind}")
         by_kind[run.model_kind] = run
-    # Stable sort: kinds outside MODEL_ORDER follow it in input order.
-    rank = {kind: i for i, kind in enumerate(MODEL_ORDER)}
+    # Stable sort: kinds outside MODEL_KINDS follow it in input order.
+    rank = {kind: i for i, kind in enumerate(MODEL_KINDS)}
     ordered = sorted(by_kind.values(), key=lambda run: rank.get(run.model_kind, len(rank)))
     rows = [
         MetricsRow(

@@ -16,13 +16,13 @@ import pytest
 import navcast.arima as arima
 from navcast.cli import generate_synthetic, main, write_series_csv
 from navcast.hybrid import compare_models, sliding_window_evaluate
-from navcast.lstm import TrainConfig, init_network
+from navcast.lstm import TrainConfig
 from navcast.metrics import mae, mse, rmse
 from navcast.series import SplitSpec, adf_test, difference
 
 from conftest import as_series, simulate_ar1, simulate_ma1, random_walk
 from test_hybrid import AuditedSeries
-from test_lstm import check_gradients, scalar_cell
+from test_lstm import check_gradients, init_random_head, scalar_cell
 
 # Benchmark fixture: a strong seasonal swing over a low-noise walk. The
 # AIC-chosen ARMA underfits the differenced sine+noise mix here, leaving
@@ -103,7 +103,7 @@ def test_criterion_05_gradient_fidelity():
     rng = np.random.default_rng(77)
     worst = 0.0
     for hidden, layers, m in ((3, 1, 4), (5, 2, 6)):
-        net = init_network(1, hidden, layers, rng, zero_head=False)
+        net = init_random_head(hidden, layers, rng)
         X = rng.normal(size=(3, m))
         y = rng.normal(size=3)
         worst = max(worst, check_gradients(net, X, y))

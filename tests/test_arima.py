@@ -116,6 +116,17 @@ class TestSelectOrder:
         r2 = select_order(s, ArimaOrder(2, 1, 2))
         assert r1.chosen == r2.chosen
 
+    def test_report_model_is_the_chosen_fit_bitwise(self):
+        s = as_series(2.0 + random_walk(400, seed=11, sigma=0.02)
+                      + 0.1 * np.sin(np.arange(400) / 4))
+        report = select_order(s, ArimaOrder(3, 1, 3))
+        assert report.chosen.q > 0  # an optimizer fit, not a closed form
+        ref = fit(s, report.chosen)
+        assert report.model.order == report.chosen
+        for name in ("ar_coeffs", "ma_coeffs", "in_sample_residuals"):
+            assert getattr(report.model, name).tobytes() == getattr(ref, name).tobytes()
+        assert (report.model.intercept, report.model.sigma2) == (ref.intercept, ref.sigma2)
+
 
 class TestForecastOne:
     def test_pure_persistence(self):

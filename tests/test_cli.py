@@ -237,7 +237,8 @@ class TestCompareCommand:
         cfg = TrainConfig(epochs=5, layers=1, hidden_dim=8, window_m=10, batch_size=32, seed=seed)
         train = series.slice(0, spec.train_len)
         val = series.slice(spec.train_len, spec.train_len + spec.val_len)
-        ref = fit_hybrid(train, val, "auto", replace(cfg, seed=seed + SEED_OFFSETS["hybrid"]))
+        train_fit = arima_mod.fit(train, arima_mod.select_order(train).chosen)
+        ref = fit_hybrid(train, val, train_fit, replace(cfg, seed=seed + SEED_OFFSETS["hybrid"]))
         assert (out / "models" / "arima.txt").read_text() == arima_mod.serialize(ref.arima)
         assert (out / "models" / "lstm.txt").read_text() == lstm_mod.serialize(ref.residual_net)
 
@@ -252,9 +253,9 @@ class TestCompareCommand:
         code, _ = self.run_compare(tmp_path, extra=["--order", "1,1,0", "--refit", "arima"])
         assert code == EXIT_OK
         test_len = SplitSpec.proportional(180).test_len
-        # the arima kind's training fit and one refit per test step, plus the
-        # hybrid's training fit; the hybrid reuses the arima kind's refits
-        assert len(calls) == 2 + test_len
+        # the arima kind's training fit and one refit per test step; the
+        # hybrid reuses the arima kind's training fit and refits
+        assert len(calls) == 1 + test_len
 
     def test_failed_refit_fails_arima_and_hybrid_once(self, tmp_path, monkeypatch):
         import navcast.arima as arima_mod
@@ -316,9 +317,9 @@ class TestSynthCommand:
         kind=st.sampled_from(["random-walk", "ar1", "linear-plus-sine"]),
         n=st.integers(30, 60),
         seed=st.integers(0, 2**16),
-        base=st.floats(-2.0, 5.0),
+        base=st.one_of(st.floats(-2.0, 5.0), st.sampled_from([np.nan, np.inf, -np.inf])),
         amplitude=st.floats(0.0, 4.0),
-        sigma=st.floats(0.0, 1.0),
+        sigma=st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e308, np.inf, -1.0])),
     )
     def test_writes_only_what_ingest_accepts(self, kind, n, seed, base, amplitude, sigma):
         params = ["--param", f"base={base!r}", "--param", f"sigma={sigma!r}"]

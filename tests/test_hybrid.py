@@ -33,14 +33,16 @@ class TestFitHybrid:
     def test_residual_net_starts_at_linear_baseline(self):
         s = sine_walk(300, seed=1)
         cfg = TrainConfig(epochs=1, layers=1, hidden_dim=4, window_m=10, seed=0)
-        model = fit_hybrid(s.slice(0, 250), s.slice(250, 300), "auto", cfg)
+        train = s.slice(0, 250)
+        model = fit_hybrid(train, s.slice(250, 300), arima.select_order(train).model, cfg)
         assert model.window_m == 10
         assert model.val_mse is not None
 
     def test_too_short_train_rejected(self):
         s = as_series(np.random.default_rng(0).normal(size=30) + 5)
+        train = s.slice(0, 12)
         with pytest.raises((ConfigurationError, DegenerateInputError)):
-            fit_hybrid(s.slice(0, 12), None, arima.ArimaOrder(0, 1, 0),
+            fit_hybrid(train, None, arima.fit(train, arima.ArimaOrder(0, 1, 0)),
                        TrainConfig(window_m=20, epochs=1))
 
     def test_random_walk_residuals_near_white(self):
@@ -56,8 +58,9 @@ class TestFitHybrid:
 
 class TestPredictOne:
     def _model(self, s, cfg=FAST):
-        return fit_hybrid(s.slice(0, len(s) - 50), s.slice(len(s) - 50, len(s)),
-                          "auto", cfg)
+        train = s.slice(0, len(s) - 50)
+        return fit_hybrid(train, s.slice(len(s) - 50, len(s)),
+                          arima.select_order(train).model, cfg)
 
     def test_zero_output_head_reduces_to_arima(self):
         s = sine_walk(300, seed=4)

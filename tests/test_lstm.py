@@ -25,6 +25,15 @@ def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def init_random_head(hidden_dim, n_layers, rng):
+    """A scalar-input net whose output head is drawn after the layers from
+    uniform(-k, k), k = 1/sqrt(hidden_dim), so it is not the zero head."""
+    net = init_network(1, hidden_dim, n_layers, rng)
+    k = 1.0 / np.sqrt(hidden_dim)
+    net.head_w = rng.uniform(-k, k, size=hidden_dim)
+    return net
+
+
 def scalar_cell(wf=1.0, wi=1.0, wc=1.0, wo=1.0, bf=0.0, bi=0.0, bc=0.0, bo=0.0):
     from navcast.lstm import LstmCellParams
     return LstmCellParams(
@@ -89,7 +98,7 @@ class TestForward:
         assert forward(net, rng.normal(size=6)) == pytest.approx(0.375, abs=1e-15)
 
     def test_single_equals_batched_row(self, rng):
-        net = init_network(1, 5, 2, rng, zero_head=False)
+        net = init_random_head(5, 2, rng)
         X = rng.normal(size=(7, 9))
         batched = _forward_batch(net, X)
         for b in range(7):
@@ -98,7 +107,7 @@ class TestForward:
     def test_golden_regression_value(self):
         # frozen at build time from a seeded net and window
         rng = np.random.default_rng(2024)
-        net = init_network(1, 4, 2, rng, zero_head=False)
+        net = init_random_head(4, 2, rng)
         net.head_b = 0.1
         window = np.linspace(-1, 1, 8)
         value = forward(net, window)
@@ -144,7 +153,7 @@ def check_gradients(net, X, y, tol=1e-4):
 
 class TestBpttGradients:
     def test_zero_error_zero_gradients(self, rng):
-        net = init_network(1, 3, 1, rng, zero_head=False)
+        net = init_random_head(3, 1, rng)
         X = rng.normal(size=(4, 5))
         preds = _forward_batch(net, X)
         grads, loss = bptt_gradients(net, X, preds)
@@ -156,19 +165,19 @@ class TestBpttGradients:
         assert grads.head_b == 0.0
 
     def test_finite_difference_check_one_layer(self, rng):
-        net = init_network(1, 3, 1, rng, zero_head=False)
+        net = init_random_head(3, 1, rng)
         X = rng.normal(size=(3, 4))
         y = rng.normal(size=3)
         assert check_gradients(net, X, y) < 1e-4
 
     def test_finite_difference_check_two_layers(self, rng):
-        net = init_network(1, 5, 2, rng, zero_head=False)
+        net = init_random_head(5, 2, rng)
         X = rng.normal(size=(2, 6))
         y = rng.normal(size=2)
         assert check_gradients(net, X, y) < 1e-4
 
     def test_batch_gradient_is_mean_of_per_sample(self, rng):
-        net = init_network(1, 4, 2, rng, zero_head=False)
+        net = init_random_head(4, 2, rng)
         X = rng.normal(size=(2, 5))
         y = rng.normal(size=2)
         g_pair, _ = bptt_gradients(net, X, y)
@@ -262,7 +271,7 @@ class TestTrain:
 
 class TestSerialization:
     def test_round_trip(self, rng):
-        net = init_network(1, 4, 3, rng, zero_head=False)
+        net = init_random_head(4, 3, rng)
         net.head_b = -0.25
         net2 = deserialize(serialize(net))
         window = rng.normal(size=6)

@@ -91,7 +91,7 @@ class TestBuildReport:
         ]
         report = build_report(runs)
         assert [r.model for r in report.rows] == ["arima", "hybrid", "naive", "drift"]
-        assert report.row("naive").mse == pytest.approx(1.0, abs=1e-15)
+        assert report.rows[2].mse == pytest.approx(1.0, abs=1e-15)
 
     def test_single_run(self):
         report = build_report([run("arima", [1.0], [2.0])])
