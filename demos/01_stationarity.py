@@ -15,13 +15,13 @@ values = 2.0 + np.cumsum(rng.normal(0.0005, 0.01, size=600))
 series = nc.TimeSeries.from_values(values, name="demo-nav")
 
 for d in (0, 1):
-    x = nc.difference(series, d).values if d else series.values
+    x = nc.difference(series, d)
     res = nc.adf_test(x)
     verdict = "stationary" if res.is_stationary_5pct else "non-stationary"
     print(f"d={d}: ADF statistic {res.statistic:+.3f} "
           f"(5% critical {res.critical_values[0.05]:.2f}) -> {verdict}")
 
-diffed = nc.difference(series, 1).values
+diffed = nc.difference(series, 1)
 print("\nlag  ACF      PACF     (band +/-{:.3f})".format(1.96 / np.sqrt(len(diffed))))
 acf_pts, pacf_pts = nc.acf(diffed, 10), nc.pacf(diffed, 10)
 for a, p in zip(acf_pts, pacf_pts):

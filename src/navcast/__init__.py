@@ -37,7 +37,6 @@ from .metrics import MetricsReport, build_report, mae, mse, rmse
 from .series import (
     AdfResult,
     CorrelogramPoint,
-    DifferencedSeries,
     ScaleParams,
     SplitSpec,
     TimeSeries,
@@ -45,7 +44,6 @@ from .series import (
     adf_test,
     difference,
     fit_scale,
-    integrate,
     minmax_scale,
     minmax_unscale,
     pacf,

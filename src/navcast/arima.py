@@ -20,6 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
+from . import _doc
 from .errors import FIT_FAILURES, AnalysisError, DegenerateInputError, FitError, NumericalError
 from .series import TimeSeries, adf_test, difference
 
@@ -53,7 +54,6 @@ class ArimaModel:
     sigma2: float
     in_sample_residuals: np.ndarray
     n_obs: int
-    ar_stationary: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "ar_coeffs", np.array(self.ar_coeffs, dtype=float))
@@ -68,6 +68,10 @@ class ArimaModel:
         # computed against zero-padded pre-sample terms, not dropped, so every
         # (p,q) candidate on the same series is scored on the same sample.
         return self.n_obs - self.order.d
+
+    @property
+    def ar_stationary(self) -> bool:
+        return _ar_roots_outside_unit_circle(self.ar_coeffs)
 
     def css(self) -> float:
         eps = self.in_sample_residuals
@@ -118,11 +122,13 @@ def _yule_walker_ar(z, p):
 
 
 def _ar_roots_outside_unit_circle(phi) -> bool:
+    # z is a root of 1 - phi_1 z - ... - phi_p z^p exactly when 1/z is a root
+    # of the monic z^p - phi_1 z^(p-1) - ... - phi_p.  Its companion matrix
+    # holds phi itself, so it stays finite however close to 0 phi_p is.
     if len(phi) == 0:
         return True
-    poly = np.concatenate(([1.0], -np.asarray(phi, dtype=float)))
-    roots = np.roots(poly[::-1])  # roots of 1 - phi_1 z - ... - phi_p z^p
-    return bool(np.all(np.abs(roots) > 1.0))
+    inverse_roots = np.roots(np.concatenate(([1.0], -np.asarray(phi, dtype=float))))
+    return bool(np.all(np.abs(inverse_roots) < 1.0))
 
 
 def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
@@ -133,7 +139,7 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
         raise DegenerateInputError(
             f"series of length {n} too short for ARIMA{order}"
         )
-    w = difference(series, d).values
+    w = difference(series, d)
     mu = float(w.mean())
     z = w - mu
 
@@ -163,20 +169,14 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
             options={"maxiter": MAX_ITER, "gtol": GRAD_TOL},
         )
         if not res.success and not np.isfinite(res.fun):
-            raise FitError(
-                f"CSS optimization failed for ARIMA{order}: {res.message}",
-                best_params=res.x,
-            )
+            raise FitError(f"CSS optimization failed for ARIMA{order}: {res.message}")
         phi, theta = res.x[:p], res.x[p:]
         eps = _arma_residuals(z, phi, theta)
 
-    stationary = _ar_roots_outside_unit_circle(phi)
-    if not stationary:
-        warnings.warn(f"AR polynomial of ARIMA{order} fit is non-stationary")
     neff = len(z)
     css = float(eps @ eps)
     sigma2 = css / neff if neff > 0 else 0.0
-    return ArimaModel(
+    model = ArimaModel(
         order=order,
         ar_coeffs=phi,
         ma_coeffs=theta,
@@ -184,8 +184,10 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
         sigma2=sigma2,
         in_sample_residuals=eps,
         n_obs=n,
-        ar_stationary=stationary,
     )
+    if not model.ar_stationary:
+        warnings.warn(f"AR polynomial of ARIMA{order} fit is non-stationary")
+    return model
 
 
 def aic(model: ArimaModel) -> float:
@@ -206,7 +208,7 @@ def select_order(series: TimeSeries, caps: ArimaOrder = ArimaOrder(5, 2, 5)) -> 
     """
     d_chosen = None
     for d in range(caps.d + 1):
-        w = difference(series, d).values
+        w = difference(series, d)
         if adf_test(w).is_stationary_5pct:
             d_chosen = d
             break
@@ -245,7 +247,7 @@ def _fit_or_search(series: TimeSeries, order) -> ArimaModel:
 def _forecast_differenced(model: ArimaModel, history: TimeSeries) -> float:
     """One-step forecast of the d-times differenced series."""
     p, d, q = model.order
-    z = difference(history, d).values - model.intercept
+    z = difference(history, d) - model.intercept
     eps = _arma_residuals(z, model.ar_coeffs, model.ma_coeffs)
     zhat = 0.0
     for i in range(1, p + 1):
@@ -283,49 +285,35 @@ def residuals(model: ArimaModel, series: TimeSeries) -> np.ndarray:
     p, d, q = model.order
     if len(series) < p + d + 1:
         raise DegenerateInputError("series too short for residual extraction")
-    z = difference(series, d).values - model.intercept
+    z = difference(series, d) - model.intercept
     eps = _arma_residuals(z, model.ar_coeffs, model.ma_coeffs)
     return eps[p:]
 
 
 # ---------------------------------------------------------------------------
-# Flat key-value serialization (order, coefficients, sigma2, n_obs).
+# Serialization in the shared saved-model format (navcast._doc).  Every
+# field is written; ar_stationary is derived from ar_coeffs.
 
 def serialize(model: ArimaModel) -> str:
-    lines = [
-        "format arima-model v1",
-        f"p {model.order.p}",
-        f"d {model.order.d}",
-        f"q {model.order.q}",
-        f"intercept {model.intercept:.17g}",
-        f"sigma2 {model.sigma2:.17g}",
-        f"n_obs {model.n_obs}",
-        "ar " + " ".join(f"{c:.17g}" for c in model.ar_coeffs),
-        "ma " + " ".join(f"{c:.17g}" for c in model.ma_coeffs),
-        "residuals " + " ".join(f"{c:.17g}" for c in model.in_sample_residuals),
-    ]
-    return "\n".join(lines) + "\n"
+    o = model.order
+    return _doc.dump("arima-model", [
+        ("p", [o.p]), ("d", [o.d]), ("q", [o.q]),
+        ("intercept", [model.intercept]), ("sigma2", [model.sigma2]), ("n_obs", [model.n_obs]),
+        ("ar", model.ar_coeffs), ("ma", model.ma_coeffs), ("residuals", model.in_sample_residuals),
+    ])
 
 
 def deserialize(text: str) -> ArimaModel:
-    fields = {}
-    for line in text.strip().splitlines():
-        key, _, rest = line.partition(" ")
-        fields[key] = rest
-    if fields.get("format") != "arima-model v1":
-        raise ValueError("not an arima-model v1 document")
-    order = ArimaOrder(int(fields["p"]), int(fields["d"]), int(fields["q"]))
-
-    def vec(key):
-        s = fields.get(key, "").split()
-        return np.array([float(v) for v in s])
-
-    return ArimaModel(
-        order=order,
-        ar_coeffs=vec("ar"),
-        ma_coeffs=vec("ma"),
-        intercept=float(fields["intercept"]),
-        sigma2=float(fields["sigma2"]),
-        in_sample_residuals=vec("residuals"),
-        n_obs=int(fields["n_obs"]),
-    )
+    row = dict(_doc.load("arima-model", text))
+    try:
+        return ArimaModel(
+            order=ArimaOrder(*(int(row[key][0]) for key in "pdq")),
+            ar_coeffs=[float(v) for v in row["ar"]],
+            ma_coeffs=[float(v) for v in row["ma"]],
+            intercept=float(row["intercept"][0]),
+            sigma2=float(row["sigma2"][0]),
+            in_sample_residuals=[float(v) for v in row["residuals"]],
+            n_obs=int(row["n_obs"][0]),
+        )
+    except (KeyError, IndexError) as exc:
+        raise ValueError(f"arima-model document lacks field {exc}") from exc

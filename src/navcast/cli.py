@@ -29,7 +29,7 @@ from .errors import (
 from .hybrid import DEFAULT_WINDOW_L, compare_models, fit_hybrid
 from .lstm import TrainConfig
 from .metrics import MODEL_KINDS, format_table
-from .series import SplitSpec, TimeSeries, acf, adf_test, difference, pacf
+from .series import SplitSpec, TimeSeries, acf, adf_test, difference, pacf, split
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -147,7 +147,7 @@ def cmd_analyze(series: TimeSeries, out_dir: Path, max_lag: int = 20) -> dict:
     adf = {}
     stationary_d = None
     for d in range(3):
-        w = difference(series, d).values
+        w = difference(series, d)
         res = adf_test(w)
         adf[str(d)] = _adf_payload(res)
         if stationary_d is None and res.is_stationary_5pct:
@@ -155,7 +155,7 @@ def cmd_analyze(series: TimeSeries, out_dir: Path, max_lag: int = 20) -> dict:
     (out_dir / "adf.json").write_text(json.dumps(adf, indent=2) + "\n", encoding="utf-8")
 
     d_used = stationary_d if stationary_d is not None else 1
-    w = difference(series, d_used).values
+    w = difference(series, d_used)
     for name, points in (("acf.csv", acf(w, max_lag)), ("pacf.csv", pacf(w, max_lag))):
         with open(out_dir / name, "w", encoding="utf-8") as fh:
             fh.write("lag,value,confidence_bound\n")
@@ -165,7 +165,7 @@ def cmd_analyze(series: TimeSeries, out_dir: Path, max_lag: int = 20) -> dict:
     diff1 = difference(series, 1)
     with open(out_dir / "diff.csv", "w", encoding="utf-8") as fh:
         fh.write("date,value\n")
-        for ts, v in zip(series.timestamps[1:], diff1.values):
+        for ts, v in zip(series.timestamps[1:], diff1):
             fh.write(f"{ts.isoformat()},{float(v)!r}\n")
     return {"adf": adf, "stationary_d": stationary_d, "correlogram_d": d_used}
 
@@ -186,9 +186,7 @@ def cmd_fit_arima(series: TimeSeries, order, out_dir: Path) -> arima_mod.ArimaMo
 
 
 def cmd_fit_hybrid(series: TimeSeries, spec: SplitSpec, order, cfg: TrainConfig, out_dir: Path):
-    test_start = spec.train_len + spec.val_len
-    train = series.slice(0, spec.train_len)
-    val = series.slice(spec.train_len, test_start)
+    train, val, _ = split(series, spec)
     model = fit_hybrid(train, val, arima_mod._fit_or_search(train, order), cfg)
     _write_models(out_dir, model.arima, model.residual_net)
     summary = {
@@ -407,10 +405,10 @@ def main(argv=None) -> int:
     except (AnalysisError, DegenerateInputError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except (FitError,) as exc:
+    except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except (ConfigurationError, NavcastError) as exc:
+    except NavcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

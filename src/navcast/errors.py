@@ -24,11 +24,7 @@ class AnalysisError(NavcastError):
 
 
 class FitError(NavcastError):
-    """Model estimation failed to converge; carries best-so-far parameters."""
-
-    def __init__(self, message, best_params=None):
-        super().__init__(message)
-        self.best_params = best_params
+    """Model estimation or training failed to converge."""
 
 
 class IngestionError(NavcastError):

@@ -185,6 +185,8 @@ def sliding_window_evaluate(
         raise ConfigurationError(f"unknown model kind {kind!r}")
     if refit not in ("none", "arima"):
         raise ConfigurationError(f"unknown refit policy {refit!r}")
+    if window_L < 1:
+        raise ConfigurationError(f"window_L must be at least 1, got {window_L}")
     cfg = cfg or TrainConfig()
     if spec.total != len(series):
         raise ConfigurationError(

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _doc
 from .errors import ConfigurationError, DegenerateInputError, FitError, NumericalError
 from .series import ScaleParams, minmax_scale
 
@@ -397,48 +398,40 @@ def _adam_scalar(opt: _Adam, key, g):
 
 
 # ---------------------------------------------------------------------------
-# Versioned flat serialization: dims first, then row-major payloads.
+# Serialization in the shared saved-model format (navcast._doc): dims first,
+# then each layer's row-major payloads, then the head.
 
 def serialize(net: LstmNetwork) -> str:
-    lines = ["format lstm-network v1", f"layers {len(net.layers)}"]
+    rows = [("layers", [len(net.layers)])]
     for li, layer in enumerate(net.layers):
-        lines.append(f"layer {li} hidden {layer.hidden_dim} input {layer.input_dim}")
+        rows.append(("layer", [li, "hidden", layer.hidden_dim, "input", layer.input_dim]))
     for li, layer in enumerate(net.layers):
-        for name in PARAM_FIELDS:
-            arr = getattr(layer, name).ravel()
-            lines.append(f"param {li} {name} " + " ".join(f"{v:.17g}" for v in arr))
-    lines.append("head_w " + " ".join(f"{v:.17g}" for v in net.head_w))
-    lines.append(f"head_b {net.head_b:.17g}")
-    return "\n".join(lines) + "\n"
+        rows += [("param", [li, name, *getattr(layer, name).ravel()]) for name in PARAM_FIELDS]
+    rows += [("head_w", net.head_w), ("head_b", [net.head_b])]
+    return _doc.dump("lstm-network", rows)
 
 
 def deserialize(text: str) -> LstmNetwork:
-    lines = text.strip().splitlines()
-    if lines[0] != "format lstm-network v1":
-        raise ValueError("not an lstm-network v1 document")
-    n_layers = int(lines[1].split()[1])
-    dims = {}
-    payload = {}
-    head_w = None
-    head_b = 0.0
-    for line in lines[2:]:
-        parts = line.split()
-        if parts[0] == "layer":
-            dims[int(parts[1])] = (int(parts[3]), int(parts[5]))
-        elif parts[0] == "param":
-            payload[(int(parts[1]), parts[2])] = np.array([float(v) for v in parts[3:]])
-        elif parts[0] == "head_w":
-            head_w = np.array([float(v) for v in parts[1:]])
-        elif parts[0] == "head_b":
-            head_b = float(parts[1])
-    layers = []
-    for li in range(n_layers):
-        h, d_in = dims[li]
-        kwargs = {}
-        for name in PARAM_FIELDS:
-            arr = payload[(li, name)]
-            kwargs[name] = arr.reshape(h, h + d_in) if name.startswith("W") else arr
-        layers.append(LstmCellParams(**kwargs))
-    net = LstmNetwork(layers=layers, head_w=head_w, head_b=head_b)
+    dims, payload, rest = {}, {}, {}
+    try:
+        for key, vals in _doc.load("lstm-network", text):
+            if key == "layer":
+                dims[int(vals[0])] = (int(vals[2]), int(vals[4]))
+            elif key == "param":
+                payload[(int(vals[0]), vals[1])] = np.array([float(v) for v in vals[2:]])
+            else:
+                rest[key] = vals
+        layers = []
+        for li in range(int(rest["layers"][0])):
+            h, d_in = dims[li]
+            kwargs = {}
+            for name in PARAM_FIELDS:
+                arr = payload[(li, name)]
+                kwargs[name] = arr.reshape(h, h + d_in) if name.startswith("W") else arr
+            layers.append(LstmCellParams(**kwargs))
+        net = LstmNetwork(layers=layers, head_w=np.array([float(v) for v in rest["head_w"]]),
+                          head_b=float(rest["head_b"][0]))
+    except (KeyError, IndexError) as exc:
+        raise ValueError(f"lstm-network document lacks field {exc}") from exc
     net.check()
     return net

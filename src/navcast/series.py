@@ -70,24 +70,6 @@ class TimeSeries:
 
 
 @dataclass(frozen=True)
-class DifferencedSeries:
-    """d-th forward differences plus the leading anchor values needed to invert."""
-
-    values: np.ndarray
-    order_d: int
-    anchors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.array(self.values, dtype=float))
-        object.__setattr__(self, "anchors", np.array(self.anchors, dtype=float))
-        if len(self.anchors) != self.order_d:
-            raise ConfigurationError(
-                f"order {self.order_d} requires {self.order_d} anchors, "
-                f"got {len(self.anchors)}"
-            )
-
-
-@dataclass(frozen=True)
 class AdfResult:
     """Augmented Dickey-Fuller outcome (constant-only regression)."""
 
@@ -150,8 +132,8 @@ class SplitSpec:
         return SplitSpec(*base)
 
 
-def difference(series: TimeSeries, d: int) -> DifferencedSeries:
-    """d-th forward difference, keeping the d leading source values as anchors."""
+def difference(series: TimeSeries, d: int) -> np.ndarray:
+    """d-th forward difference of the series values (a new array)."""
     if d < 0:
         raise ConfigurationError("difference order must be non-negative")
     vals = series.values
@@ -160,19 +142,7 @@ def difference(series: TimeSeries, d: int) -> DifferencedSeries:
     out = vals.copy()
     for _ in range(d):
         out = np.diff(out)
-    return DifferencedSeries(out, d, vals[:d])
-
-
-def integrate(diff: DifferencedSeries) -> np.ndarray:
-    """Exact left-inverse of :func:`difference`; returns level values."""
-    d = diff.order_d
-    if len(diff.anchors) != d:
-        raise DegenerateInputError("anchors missing or inconsistent with order")
-    vals = diff.values
-    for k in range(d, 0, -1):
-        first = np.diff(diff.anchors, k - 1)[0] if k > 1 else np.diff(diff.anchors, 0)[0]
-        vals = np.concatenate(([first], first + np.cumsum(vals)))
-    return vals
+    return out
 
 
 def acf(values, max_lag: int) -> list[CorrelogramPoint]:

@@ -92,7 +92,7 @@ def test_criterion_04_adf_calibration():
         noise = np.random.default_rng(10_000 + seed).normal(size=1000)
         walk_nonstat += not adf_test(walk).is_stationary_5pct
         noise_stat += adf_test(noise).is_stationary_5pct
-        diff_stat += adf_test(difference(as_series(walk), 1).values).is_stationary_5pct
+        diff_stat += adf_test(difference(as_series(walk), 1)).is_stationary_5pct
     report(4, f"ADF: walk non-stationary {walk_nonstat}/100 (need 90), "
               f"noise stationary {noise_stat}/100 (need 95), "
               f"differenced walk stationary {diff_stat}/100 (need 95)",

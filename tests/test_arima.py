@@ -1,10 +1,32 @@
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import navcast.arima as arima
-from navcast.arima import ArimaOrder, aic, deserialize, fit, forecast_one, residuals, select_order, serialize
+from navcast.arima import (
+    ArimaModel, ArimaOrder, aic, deserialize, fit, forecast_one, residuals, select_order, serialize,
+)
+from navcast.cli import generate_synthetic
 from navcast.errors import DegenerateInputError
 from conftest import as_series, random_walk, simulate_ar1, simulate_ma1
+
+V1_DOCUMENT = Path(__file__).parent / "data" / "arima_v1.txt"
+
+
+def assert_same_model(a, b):
+    """Every field bitwise equal (so -0.0 and 0.0 differ), plus ar_stationary."""
+    for f in fields(ArimaModel):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "order":
+            assert x == y
+        else:
+            assert np.asarray(x).dtype == np.asarray(y).dtype, f.name
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), f.name
+    assert a.ar_stationary == b.ar_stationary
 
 
 class TestFit:
@@ -212,3 +234,62 @@ class TestSerialization:
         assert m2.intercept == m.intercept
         assert m2.sigma2 == m.sigma2
         assert forecast_one(m2, s) == forecast_one(m, s)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_field_round_trips_bitwise(self, data):
+        floats = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+        p, d, q = (data.draw(st.integers(0, 5)) for _ in range(3))
+        m = ArimaModel(
+            order=ArimaOrder(p, d, q),
+            ar_coeffs=data.draw(st.lists(floats, min_size=p, max_size=p)),
+            ma_coeffs=data.draw(st.lists(floats, min_size=q, max_size=q)),
+            intercept=data.draw(floats),
+            sigma2=data.draw(floats),
+            in_sample_residuals=data.draw(st.lists(floats, min_size=1, max_size=30)),
+            n_obs=data.draw(st.integers(0, 2**62)),
+        )
+        assert_same_model(deserialize(serialize(m)), m)
+
+    def test_ar_stationary_with_a_last_coefficient_near_underflow(self):
+        # 1 - 44z - 2.4e-307 z^2 has a root near 1/44, inside the unit circle.
+        m = ArimaModel(ArimaOrder(2, 0, 0), [44.0, 2.3947062894692112e-307], [], 0.0, 0.0, [0.0], 0)
+        assert m.ar_stationary is False
+        assert_same_model(deserialize(serialize(m)), m)
+
+    def test_every_search_candidate_round_trips(self, monkeypatch):
+        # The paper's fixture (1260 days, NAV base 10) and its 900-day
+        # training segment: several of the search's ARMA fits are
+        # non-stationary, and they must read back as non-stationary.
+        s = generate_synthetic("linear-plus-sine", 1260,
+                               {"sigma": 0.001, "amplitude": 4.0, "period": 25.0, "base": 10.0},
+                               seed=0).slice(0, 900)
+        candidates = []
+
+        def recording(series, order):
+            candidates.append(fit(series, order))
+            return candidates[-1]
+        monkeypatch.setattr(arima, "fit", recording)
+        select_order(s)
+        assert len(candidates) == 36
+        assert any(not m.ar_stationary for m in candidates)
+        for m in candidates:
+            assert_same_model(deserialize(serialize(m)), m)
+
+    def test_committed_v1_document_reads_and_writes_back_unchanged(self):
+        text = V1_DOCUMENT.read_text(encoding="utf-8")
+        assert serialize(deserialize(text)) == text
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: "",
+        lambda t: t.replace("arima-model v1", "arima-model v2", 1),
+        lambda t: t.replace("format arima-model", "format lstm-network", 1),
+        lambda t: t.replace("p 2\n", ""),
+        lambda t: t.replace("n_obs 30\n", ""),
+        lambda t: t.replace("ma \n", ""),
+        lambda t: t.replace("sigma2 0.0097384786127945218", "sigma2"),
+    ], ids=["empty", "v2", "other-kind", "no-p", "no-n_obs", "no-ma", "empty-sigma2"])
+    def test_malformed_document_raises_value_error(self, edit):
+        text = edit(V1_DOCUMENT.read_text(encoding="utf-8"))
+        with pytest.raises(ValueError):
+            deserialize(text)

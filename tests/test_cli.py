@@ -355,6 +355,30 @@ class TestExitCodes:
             argv = ["fit-hybrid", "--input", str(tmp_path / "x.csv")] + flag
             assert main(argv) == EXIT_USAGE
 
+    def test_fit_hybrid_split_must_cover_the_series(self, tmp_path):
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 400, {"base": 10.0}, seed=0))
+        out = tmp_path / "o"
+        code = main(["fit-hybrid", "--input", str(csv), "--out", str(out),
+                     "--split", "100,50,10", "--order", "0,1,0", "--epochs", "1",
+                     "--layers", "1", "--hidden", "4", "--window-m", "5"])
+        assert code == EXIT_USAGE
+        assert not (out / "models").exists()
+
+    def test_compare_window_L_below_one_trains_nothing(self, tmp_path, monkeypatch):
+        import navcast.lstm as lstm_mod
+        trainings = []
+        original = lstm_mod.train
+        monkeypatch.setattr(lstm_mod, "train",
+                            lambda *a, **k: trainings.append(1) or original(*a, **k))
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 200, {"base": 10.0}, seed=0))
+        code = main(["compare", "--input", str(csv), "--out", str(tmp_path / "o"),
+                     "--window-L", "0", "--order", "0,1,0", "--epochs", "1",
+                     "--layers", "1", "--hidden", "4", "--window-m", "5"])
+        assert code == EXIT_USAGE
+        assert trainings == []
+
     def test_training_divergence(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"
         write_series_csv(csv, generate_synthetic("random-walk", 200, seed=0))

@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from navcast.errors import ConfigurationError, DegenerateInputError
 from navcast.lstm import (
@@ -19,6 +22,8 @@ from navcast.lstm import (
     _forward_batch,
 )
 from navcast.series import ScaleParams, fit_scale
+
+V1_DOCUMENT = Path(__file__).parent / "data" / "lstm_v1.txt"
 
 
 def sigmoid(x):
@@ -276,3 +281,46 @@ class TestSerialization:
         net2 = deserialize(serialize(net))
         window = rng.normal(size=6)
         assert forward(net2, window) == forward(net, window)
+
+    @given(
+        st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
+        st.integers(0, 2**32 - 1), st.integers(-300, 300),
+        st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_array_and_head_b_round_trip_bitwise(self, n_layers, hidden, d_in, seed, exp, head_b):
+        rng = np.random.default_rng(seed)
+        net = init_network(d_in, hidden, n_layers, rng)
+        for layer in net.layers:
+            for name in PARAM_FIELDS:
+                arr = getattr(layer, name)
+                arr[...] = rng.normal(size=arr.shape) * 10.0 ** exp
+        net.head_w = rng.normal(size=hidden) * 10.0 ** -exp
+        net.head_b = head_b
+        back = deserialize(serialize(net))
+        assert len(back.layers) == n_layers
+        for layer, layer2 in zip(net.layers, back.layers):
+            for name in PARAM_FIELDS:
+                a, b = getattr(layer, name), getattr(layer2, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert net.head_w.tobytes() == back.head_w.tobytes()
+        assert np.float64(net.head_b).tobytes() == np.float64(back.head_b).tobytes()
+
+    def test_committed_v1_document_reads_and_writes_back_unchanged(self):
+        text = V1_DOCUMENT.read_text(encoding="utf-8")
+        assert serialize(deserialize(text)) == text
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: "",
+        lambda t: t.replace("lstm-network v1", "lstm-network v2", 1),
+        lambda t: t.replace("format lstm-network", "format arima-model", 1),
+        lambda t: t.replace("layers 2\n", ""),
+        lambda t: "\n".join(l for l in t.splitlines() if not l.startswith("layer 1 ")),
+        lambda t: "\n".join(l for l in t.splitlines() if not l.startswith("param 1 b_o")),
+        lambda t: "\n".join(l for l in t.splitlines() if not l.startswith("head_w")),
+        lambda t: "\n".join(l for l in t.splitlines() if not l.startswith("head_b")),
+    ], ids=["empty", "v2", "other-kind", "no-layers", "no-layer-1", "no-param-1-b_o", "no-head_w", "no-head_b"])
+    def test_malformed_document_raises_value_error(self, edit):
+        text = edit(V1_DOCUMENT.read_text(encoding="utf-8"))
+        with pytest.raises(ValueError):
+            deserialize(text)
