@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from . import _doc
-from .errors import FIT_FAILURES, AnalysisError, DegenerateInputError, FitError, NumericalError
+from .errors import FIT_FAILURES, AnalysisError, DegenerateInputError, FitError
 from .series import TimeSeries, adf_test, difference
 
 MAX_ITER = 500
@@ -61,6 +61,11 @@ class ArimaModel:
         object.__setattr__(
             self, "in_sample_residuals", np.array(self.in_sample_residuals, dtype=float)
         )
+        if (len(self.ar_coeffs), len(self.ma_coeffs)) != (self.order.p, self.order.q):
+            raise ValueError(
+                f"ARIMA{self.order} needs {self.order.p} AR and {self.order.q} MA "
+                f"coefficients, got {len(self.ar_coeffs)} and {len(self.ma_coeffs)}"
+            )
 
     @property
     def effective_n(self) -> int:
@@ -143,16 +148,12 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
     mu = float(w.mean())
     z = w - mu
 
-    if p == 0 and q == 0:
-        eps = z.copy()
+    if q == 0:
+        # Exact least squares on lagged values; white noise has no coefficients.
         phi, theta = np.zeros(0), np.zeros(0)
-    elif q == 0:
-        # Exact least squares on lagged values.
-        X = np.column_stack([z[p - 1 - i: len(z) - 1 - i] for i in range(p)])
-        y = z[p:]
-        phi, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
-        theta = np.zeros(0)
-        eps = _arma_residuals(z, phi, theta)
+        if p:
+            X = np.column_stack([z[p - 1 - i: len(z) - 1 - i] for i in range(p)])
+            phi, _, _, _ = np.linalg.lstsq(X, z[p:], rcond=None)
     else:
         phi0 = _yule_walker_ar(z, p) if p else np.zeros(0)
         x0 = np.concatenate((phi0, np.zeros(q)))
@@ -171,17 +172,14 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
         if not res.success and not np.isfinite(res.fun):
             raise FitError(f"CSS optimization failed for ARIMA{order}: {res.message}")
         phi, theta = res.x[:p], res.x[p:]
-        eps = _arma_residuals(z, phi, theta)
 
-    neff = len(z)
-    css = float(eps @ eps)
-    sigma2 = css / neff if neff > 0 else 0.0
+    eps = _arma_residuals(z, phi, theta)
     model = ArimaModel(
         order=order,
         ar_coeffs=phi,
         ma_coeffs=theta,
         intercept=mu,
-        sigma2=sigma2,
+        sigma2=float(eps @ eps) / len(z),
         in_sample_residuals=eps,
         n_obs=n,
     )
@@ -244,33 +242,31 @@ def _fit_or_search(series: TimeSeries, order) -> ArimaModel:
     return fit(series, order)
 
 
-def _forecast_differenced(model: ArimaModel, history: TimeSeries) -> float:
-    """One-step forecast of the d-times differenced series."""
-    p, d, q = model.order
-    z = difference(history, d) - model.intercept
-    eps = _arma_residuals(z, model.ar_coeffs, model.ma_coeffs)
-    zhat = 0.0
-    for i in range(1, p + 1):
-        zhat += model.ar_coeffs[i - 1] * z[-i]
-    for j in range(1, q + 1):
-        zhat -= model.ma_coeffs[j - 1] * eps[-j]
-    return model.intercept + zhat
+def _innovations(model: ArimaModel, series: TimeSeries):
+    """The differenced, centered series z and its one-step residuals eps."""
+    z = difference(series, model.order.d) - model.intercept
+    return z, _arma_residuals(z, model.ar_coeffs, model.ma_coeffs)
 
 
 def forecast_one(model: ArimaModel, history: TimeSeries) -> float:
     """One-step-ahead point forecast at the original (undifferenced) level."""
     p, d, q = model.order
-    if len(history) < p + d + 1:
+    # The recursion reads the last p values and the last q residuals of z.
+    if len(history) < d + max(p + 1, q):
         raise DegenerateInputError(
             f"history of length {len(history)} too short for ARIMA{model.order} forecast"
         )
-    xhat = _forecast_differenced(model, history)
+    z, eps = _innovations(model, history)
+    zhat = 0.0
+    for i in range(1, p + 1):
+        zhat += model.ar_coeffs[i - 1] * z[-i]
+    for j in range(1, q + 1):
+        zhat -= model.ma_coeffs[j - 1] * eps[-j]
     # Integrate back up: each lower difference level adds its own last value.
-    vals = history.values
-    levels = [vals]
+    levels = [history.values]
     for _ in range(d):
         levels.append(np.diff(levels[-1]))
-    yhat = xhat
+    yhat = model.intercept + zhat
     for k in range(d - 1, -1, -1):
         yhat = levels[k][-1] + yhat
     return float(yhat)
@@ -285,9 +281,7 @@ def residuals(model: ArimaModel, series: TimeSeries) -> np.ndarray:
     p, d, q = model.order
     if len(series) < p + d + 1:
         raise DegenerateInputError("series too short for residual extraction")
-    z = difference(series, d) - model.intercept
-    eps = _arma_residuals(z, model.ar_coeffs, model.ma_coeffs)
-    return eps[p:]
+    return _innovations(model, series)[1][p:]
 
 
 # ---------------------------------------------------------------------------

@@ -85,9 +85,9 @@ def ingest_csv(path) -> TimeSeries:
     )
 
 
-def write_series_csv(path, series: TimeSeries, value_header: str = "nav"):
+def write_series_csv(path, series: TimeSeries):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"date,{value_header}\n")
+        fh.write("date,nav\n")
         for ts, v in zip(series.timestamps, series.values):
             fh.write(f"{ts.isoformat()},{float(v)!r}\n")
 
@@ -197,8 +197,8 @@ def cmd_fit_hybrid(series: TimeSeries, spec: SplitSpec, order, cfg: TrainConfig,
         "residual_scale": {
             "min": model.residual_scale.min,
             "max": model.residual_scale.max,
-            "target_lo": model.residual_scale.target_lo,
-            "target_hi": model.residual_scale.target_hi,
+            "target_lo": -1.0,
+            "target_hi": 1.0,
         },
     }
     (out_dir / "hybrid.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
@@ -207,12 +207,11 @@ def cmd_fit_hybrid(series: TimeSeries, spec: SplitSpec, order, cfg: TrainConfig,
 
 def cmd_compare(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig, out_dir: Path,
                 window_L: int = DEFAULT_WINDOW_L, refit: str = "none",
-                order="auto", stream=None):
+                order="auto"):
     """Three-model rolling comparison; emits predictions.csv, metrics.json, models/."""
-    stream = stream or sys.stdout
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = compare_models(series, spec, cfg, window_L=window_L, refit=refit,
                             arima_order=order)
+    out_dir.mkdir(parents=True, exist_ok=True)
     test_start = spec.train_len + spec.val_len
     dates = series.timestamps[test_start: spec.total]
     actuals = series.values[test_start: spec.total]
@@ -235,10 +234,9 @@ def cmd_compare(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig, out_dir: 
         hybrid = result.runs["hybrid"].model  # the evaluated training-segment fit
         _write_models(out_dir, hybrid.arima, hybrid.residual_net)
 
-    print(format_table(result.report), file=stream)
-    if result.failures:
-        for kind, msg in result.failures.items():
-            print(f"FAILED {kind}: {msg}", file=stream)
+    print(format_table(result.report))
+    for kind, msg in result.failures.items():
+        print(f"FAILED {kind}: {msg}")
     return result
 
 
@@ -267,12 +265,6 @@ def _parse_order(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError("order parts must be integers")
     return ArimaOrder(p, d, q)
-
-
-def _resolve_split(series: TimeSeries, raw) -> SplitSpec:
-    if raw is None:
-        return SplitSpec.proportional(len(series))
-    return SplitSpec(*raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +380,8 @@ def main(argv=None) -> int:
             print(f"fitted ARIMA{model.order}; sigma2={model.sigma2:.6g}")
             return EXIT_OK
 
-        spec = _resolve_split(series, args.split)
+        spec = (SplitSpec.proportional(len(series)) if args.split is None
+                else SplitSpec(*args.split))
         cfg = _train_config(args)
         if args.command == "fit-hybrid":
             model = cmd_fit_hybrid(series, spec, args.order, cfg, out_dir)

@@ -105,7 +105,7 @@ def fit_hybrid(
     bound = float(np.max(np.abs(resid)))
     if bound == 0.0:
         raise DegenerateInputError("all training residuals are zero")
-    scale = ScaleParams(-bound, bound, -1.0, 1.0)
+    scale = ScaleParams(-bound, bound)
 
     continued = None
     if val is not None and len(val) > 0:
@@ -150,12 +150,6 @@ def predict_one(model: HybridModel, history: TimeSeries, recent_residuals):
     nhat = _correction(model, recent_residuals)
     lhat = arima_mod.forecast_one(model.arima, history)
     return lhat + nhat, lhat, nhat
-
-
-def _history_slice(series: TimeSeries, t: int, window_L: int) -> TimeSeries:
-    """Trailing window of (at most) window_L observations strictly before t."""
-    start = max(0, t - window_L)
-    return TimeSeries(series.timestamps[start:t], series.segment(start, t), series.name)
 
 
 def sliding_window_evaluate(
@@ -207,7 +201,7 @@ def sliding_window_evaluate(
     if kind == "arima":
         fitted = model = arima_mod._fit_or_search(train, arima_order)
         for j, t in enumerate(range(test_start, n)):
-            hist = _history_slice(series, t, window_L)
+            hist = series.slice(max(0, t - window_L), t)
             if refit == "arima":
                 model = arima_mod.fit(hist, fitted.order)
             step_models.append(model)
@@ -233,7 +227,7 @@ def sliding_window_evaluate(
         linear = arima_run.predictions.copy()
         nonlinear = np.empty(spec.test_len)
         for j, t in enumerate(range(test_start, n)):
-            hist = _history_slice(series, t, window_L)
+            hist = series.slice(max(0, t - window_L), t)
             resid = arima_mod.residuals(arima_run.step_models[j], hist)
             nonlinear[j] = _correction(fitted, resid)
             actuals[j] = series.segment(t, t + 1)[0]
@@ -291,6 +285,7 @@ def compare_models(
         except FIT_FAILURES as exc:  # one model failing must not sink the others
             failures[kind] = f"{type(exc).__name__}: {exc}"
     if not runs:
-        raise ConfigurationError("all three model evaluations failed")
+        causes = "; ".join(f"{kind}: {msg}" for kind, msg in failures.items())
+        raise ConfigurationError(f"all three model evaluations failed ({causes})")
     report = build_report(runs.values())
     return CompareResult(runs=runs, report=report, failures=failures)

@@ -8,7 +8,7 @@ mini-batch Adam with a seeded shuffle, fully deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,18 +44,12 @@ class LstmCellParams:
 
     def check(self):
         h = self.hidden_dim
-        cols = h + self.input_dim
-        for name in ("W_f", "W_i", "W_c", "W_o"):
-            W = getattr(self, name)
-            if W.shape != (h, cols):
-                raise ConfigurationError(f"{name} has shape {W.shape}, expected {(h, cols)}")
-            if not np.all(np.isfinite(W)):
-                raise NumericalError(f"{name} contains non-finite entries")
-        for name in ("b_f", "b_i", "b_c", "b_o"):
-            b = getattr(self, name)
-            if b.shape != (h,):
-                raise ConfigurationError(f"{name} has shape {b.shape}, expected {(h,)}")
-            if not np.all(np.isfinite(b)):
+        for name in PARAM_FIELDS:
+            arr = getattr(self, name)
+            shape = (h, h + self.input_dim) if name.startswith("W") else (h,)
+            if arr.shape != shape:
+                raise ConfigurationError(f"{name} has shape {arr.shape}, expected {shape}")
+            if not np.all(np.isfinite(arr)):
                 raise NumericalError(f"{name} contains non-finite entries")
 
     def zeros_like(self) -> "LstmCellParams":
@@ -119,7 +113,6 @@ class SupervisedWindowSet:
 
     inputs: np.ndarray  # (count, m)
     targets: np.ndarray  # (count,)
-    scale: ScaleParams
 
 
 @dataclass
@@ -225,18 +218,12 @@ def forward(net: LstmNetwork, window) -> float:
     return float(_forward_batch(net, w)[0])
 
 
-@dataclass
-class NetGradients:
-    layers: list  # LstmCellParams-shaped gradient blocks
-    head_w: np.ndarray
-    head_b: float
-
-
 def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
     """Exact gradients of mean squared error over the batch.
 
     Returns (gradients, batch_mse).  Loss is mean over the batch of
-    (prediction - target)^2; gradients mirror the network structure.
+    (prediction - target)^2; the gradients are an LstmNetwork of the same
+    shape as net.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -299,7 +286,7 @@ def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
         if li > 0:
             d_out = d_inputs
     grads.reverse()
-    return NetGradients(layers=grads, head_w=g_head_w, head_b=g_head_b), loss
+    return LstmNetwork(layers=grads, head_w=g_head_w, head_b=g_head_b), loss
 
 
 def make_windows(values, m: int, scale: ScaleParams) -> SupervisedWindowSet:
@@ -310,7 +297,7 @@ def make_windows(values, m: int, scale: ScaleParams) -> SupervisedWindowSet:
     s = minmax_scale(x, scale)
     count = len(s) - m
     idx = np.arange(m)[None, :] + np.arange(count)[:, None]
-    return SupervisedWindowSet(inputs=s[idx], targets=s[m:], scale=scale)
+    return SupervisedWindowSet(inputs=s[idx], targets=s[m:])
 
 
 class _Adam:
@@ -320,30 +307,22 @@ class _Adam:
         self.m = {}
         self.v = {}
 
-    def step(self, params: dict, grads: dict):
+    def step(self, params: list, grads: list):
+        """Update each array of params in place; moments are keyed by position."""
         self.t += 1
-        for key, g in grads.items():
+        for key, (param, g) in enumerate(zip(params, grads)):
             m = self.m.get(key, 0.0) * self.b1 + (1 - self.b1) * g
             v = self.v.get(key, 0.0) * self.b2 + (1 - self.b2) * g * g
             self.m[key] = m
             self.v[key] = v
             mhat = m / (1 - self.b1 ** self.t)
             vhat = v / (1 - self.b2 ** self.t)
-            params[key] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            param -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def _flatten(net: LstmNetwork, grads: NetGradients | None = None):
-    """Expose parameters (and optionally gradients) as a flat dict of arrays."""
-    params, gmap = {}, {}
-    for li, layer in enumerate(net.layers):
-        for name in PARAM_FIELDS:
-            params[(li, name)] = getattr(layer, name)
-            if grads is not None:
-                gmap[(li, name)] = getattr(grads.layers[li], name)
-    params[("head", "w")] = net.head_w
-    if grads is not None:
-        gmap[("head", "w")] = grads.head_w
-    return params, gmap
+def _arrays(net: LstmNetwork) -> list:
+    """The weight arrays of a net, or of its gradients, in a fixed order."""
+    return [getattr(layer, name) for layer in net.layers for name in PARAM_FIELDS] + [net.head_w]
 
 
 def train(
@@ -373,8 +352,7 @@ def train(
             idx = order[start: start + cfg.batch_size]
             grads, loss = bptt_gradients(net, data.inputs[idx], data.targets[idx])
             sq_sum += loss * len(idx)
-            params, gmap = _flatten(net, grads)
-            opt.step(params, gmap)
+            opt.step(_arrays(net), _arrays(grads))
             net.head_b -= opt.lr * _adam_scalar(opt, "head_b", grads.head_b)
         train_losses[epoch] = sq_sum / n
         if val_data is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +48,14 @@ class MetricsRow:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    segment: str
+    """The comparison on the test segment."""
+
     rows: tuple
     best: str = ""
 
     def to_dict(self) -> dict:
         return {
-            "segment": self.segment,
+            "segment": "test",
             "rows": [
                 {"model": r.model, "mse": r.mse, "mae": r.mae, "rmse": r.rmse, "n": r.n}
                 for r in self.rows
@@ -63,7 +64,7 @@ class MetricsReport:
         }
 
 
-def build_report(runs, segment: str = "test") -> MetricsReport:
+def build_report(runs) -> MetricsReport:
     """One row per evaluation run, ordered arima, lstm, hybrid, then any other kind.
 
     ``runs`` is an iterable of objects with model_kind, predictions, actuals.
@@ -90,7 +91,7 @@ def build_report(runs, segment: str = "test") -> MetricsReport:
     best_row = min(rows, key=lambda r: r.mse)
     ties = [r for r in rows if r.mse == best_row.mse]
     best = "tie" if len(ties) > 1 else best_row.model
-    return MetricsReport(segment=segment, rows=tuple(rows), best=best)
+    return MetricsReport(rows=tuple(rows), best=best)
 
 
 def format_table(report: MetricsReport) -> str:

@@ -8,7 +8,7 @@ All functions are pure; every returned container is immutable in practice
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,18 +54,14 @@ class TimeSeries:
         evaluation, so tests can subclass and audit every access."""
         return self.values[start:stop]
 
-    def slice(self, start: int, stop: int, name: str | None = None) -> "TimeSeries":
-        return TimeSeries(
-            self.timestamps[start:stop],
-            self.segment(start, stop),
-            self.name if name is None else name,
-        )
+    def slice(self, start: int, stop: int) -> "TimeSeries":
+        return TimeSeries(self.timestamps[start:stop], self.segment(start, stop), self.name)
 
     @staticmethod
-    def from_values(values, name: str = "", start=datetime.date(2000, 1, 1)) -> "TimeSeries":
-        """Attach synthetic consecutive daily timestamps to bare values."""
-        n = len(values)
-        ts = tuple(start + datetime.timedelta(days=i) for i in range(n))
+    def from_values(values, name: str = "") -> "TimeSeries":
+        """Attach consecutive daily timestamps from 2000-01-01 to bare values."""
+        start = datetime.date(2000, 1, 1)
+        ts = tuple(start + datetime.timedelta(days=i) for i in range(len(values)))
         return TimeSeries(ts, values, name)
 
 
@@ -75,7 +71,10 @@ class AdfResult:
 
     statistic: float
     lag_used: int
-    critical_values: dict = field(default_factory=lambda: dict(ADF_CRITICAL_VALUES))
+
+    @property
+    def critical_values(self) -> dict:
+        return dict(ADF_CRITICAL_VALUES)
 
     @property
     def is_stationary_5pct(self) -> bool:
@@ -91,18 +90,14 @@ class CorrelogramPoint:
 
 @dataclass(frozen=True)
 class ScaleParams:
-    """Affine map [min, max] -> [target_lo, target_hi]."""
+    """Affine map [min, max] -> [-1, 1]."""
 
     min: float
     max: float
-    target_lo: float = -1.0
-    target_hi: float = 1.0
 
     def __post_init__(self):
         if not self.max > self.min:
             raise DegenerateInputError("scale range is degenerate (max <= min)")
-        if not self.target_hi > self.target_lo:
-            raise ConfigurationError("target_hi must exceed target_lo")
 
 
 @dataclass(frozen=True)
@@ -120,8 +115,9 @@ class SplitSpec:
         return self.train_len + self.val_len + self.test_len
 
     @staticmethod
-    def proportional(n: int, ratios=(900, 100, 260)) -> "SplitSpec":
+    def proportional(n: int) -> "SplitSpec":
         """Scale the reference 900/100/260 split to length n (largest remainder)."""
+        ratios = (900, 100, 260)
         total = sum(ratios)
         raw = [n * r / total for r in ratios]
         base = [int(x) for x in raw]
@@ -146,7 +142,7 @@ def difference(series: TimeSeries, d: int) -> np.ndarray:
 
 
 def acf(values, max_lag: int) -> list[CorrelogramPoint]:
-    """Sample autocorrelations for lags 1..max_lag (lag 0 on request via max_lag>=0).
+    """Sample autocorrelations for lags 1..max_lag.
 
     Uses the biased divide-by-n covariance estimator, so the +-1.96/sqrt(n)
     white-noise bound applies.
@@ -209,20 +205,18 @@ def _ols(X, y):
     return coef, se, resid
 
 
-def adf_test(values, max_lag: int | None = None) -> AdfResult:
+def adf_test(values) -> AdfResult:
     """Augmented Dickey-Fuller unit-root test, constant-only regression.
 
     Lag order is chosen by minimizing the Gaussian AIC of the augmented
-    regression over 0..max_lag; the default cap is the Schwert bound
+    regression over 0..max_lag, capped by the Schwert bound
     floor(12 * (n/100)^0.25).
     """
     y = np.asarray(values, dtype=float)
     n = len(y)
     if n < 20:
         raise DegenerateInputError(f"ADF test needs at least 20 observations, got {n}")
-    if max_lag is None:
-        max_lag = int(np.floor(12.0 * (n / 100.0) ** 0.25))
-    max_lag = min(max_lag, n // 2 - 2)
+    max_lag = min(int(np.floor(12.0 * (n / 100.0) ** 0.25)), n // 2 - 2)
 
     dy = np.diff(y)
     best = None
@@ -246,27 +240,23 @@ def adf_test(values, max_lag: int | None = None) -> AdfResult:
     return AdfResult(statistic=best[2], lag_used=best[1])
 
 
-def fit_scale(values, target_lo: float = -1.0, target_hi: float = 1.0) -> ScaleParams:
+def fit_scale(values) -> ScaleParams:
     """Fit min-max parameters on (training) values."""
     x = np.asarray(values, dtype=float)
     lo, hi = float(x.min()), float(x.max())
     if hi == lo:
         raise DegenerateInputError("cannot scale a constant series")
-    return ScaleParams(lo, hi, target_lo, target_hi)
+    return ScaleParams(lo, hi)
 
 
 def minmax_scale(values, params: ScaleParams) -> np.ndarray:
     x = np.asarray(values, dtype=float)
-    span = params.max - params.min
-    tspan = params.target_hi - params.target_lo
-    return params.target_lo + (x - params.min) * tspan / span
+    return -1.0 + (x - params.min) * 2.0 / (params.max - params.min)
 
 
 def minmax_unscale(scaled, params: ScaleParams) -> np.ndarray:
     x = np.asarray(scaled, dtype=float)
-    span = params.max - params.min
-    tspan = params.target_hi - params.target_lo
-    return params.min + (x - params.target_lo) * span / tspan
+    return params.min + (x + 1.0) * (params.max - params.min) / 2.0
 
 
 def split(series: TimeSeries, spec: SplitSpec):

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -192,6 +193,12 @@ class TestForecastOne:
         with pytest.raises(DegenerateInputError):
             forecast_one(m, as_series([1.0, 2.0]))
 
+    def test_insufficient_history_for_the_ma_terms(self):
+        # Three values differenced twice leave one residual; MA(2) needs two.
+        m = fit(as_series(random_walk(100, seed=12)), ArimaOrder(0, 2, 2))
+        with pytest.raises(DegenerateInputError):
+            forecast_one(m, as_series([1.0, 2.0, 4.0]))
+
 
 class TestResiduals:
     def test_noiseless_ar_process(self):
@@ -221,6 +228,22 @@ class TestResiduals:
         m = fit(s, ArimaOrder(2, 0, 1))
         assert len(residuals(m, s)) == 150 - 2
         assert len(m.in_sample_residuals) == 150
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_forecast_error_is_the_next_residual(self, data):
+        # forecast_one and residuals run one filter: s[t] minus the forecast
+        # from s[:t] is the residual that s[:t+1] ends with.
+        p, d, q = (data.draw(st.integers(0, 2)) for _ in range(3))
+        values = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=p + d + q + 4, max_size=40))
+        s = as_series(values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # non-stationary fits are fine here
+            m = fit(s, ArimaOrder(p, d, q))
+        t = data.draw(st.integers(d + max(p + 1, q), len(s) - 1))
+        error = s.values[t] - forecast_one(m, s.slice(0, t))
+        last = residuals(m, s.slice(0, t + 1))[-1]
+        assert abs(error - last) <= 1e-9 * max(1.0, abs(s.values[t]))
 
 
 class TestSerialization:
@@ -288,7 +311,10 @@ class TestSerialization:
         lambda t: t.replace("n_obs 30\n", ""),
         lambda t: t.replace("ma \n", ""),
         lambda t: t.replace("sigma2 0.0097384786127945218", "sigma2"),
-    ], ids=["empty", "v2", "other-kind", "no-p", "no-n_obs", "no-ma", "empty-sigma2"])
+        lambda t: t.replace(" -0.14049826926392806\n", "\n", 1),
+        lambda t: t.replace("ma \n", "ma 0.5\n"),
+    ], ids=["empty", "v2", "other-kind", "no-p", "no-n_obs", "no-ma", "empty-sigma2",
+            "short-ar", "long-ma"])
     def test_malformed_document_raises_value_error(self, edit):
         text = edit(V1_DOCUMENT.read_text(encoding="utf-8"))
         with pytest.raises(ValueError):

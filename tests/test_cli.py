@@ -379,6 +379,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert trainings == []
 
+    def test_compare_failing_every_kind_names_the_cause_and_writes_nothing(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 200, {"base": 10.0}, seed=0))
+        out = tmp_path / "o"
+        code = main(["compare", "--input", str(csv), "--out", str(out),
+                     "--window-L", "0", "--order", "0,1,0", "--epochs", "1",
+                     "--layers", "1", "--hidden", "4", "--window-m", "5"])
+        assert code == EXIT_USAGE
+        assert "window_L must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_training_divergence(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"
         write_series_csv(csv, generate_synthetic("random-walk", 200, seed=0))

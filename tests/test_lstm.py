@@ -202,10 +202,10 @@ class TestBpttGradients:
 
 class TestMakeWindows:
     def test_small_example(self):
-        scale = ScaleParams(1.0, 5.0, 1.0, 5.0)  # identity on [1,5]
-        ws = make_windows([1, 2, 3, 4, 5], 2, scale)
-        assert ws.inputs.tolist() == [[1, 2], [2, 3], [3, 4]]
-        assert ws.targets.tolist() == [3, 4, 5]
+        scale = ScaleParams(-1.0, 1.0)  # identity on [-1,1]
+        ws = make_windows([-1, -0.5, 0, 0.5, 1], 2, scale)
+        assert ws.inputs.tolist() == [[-1, -0.5], [-0.5, 0], [0, 0.5]]
+        assert ws.targets.tolist() == [0, 0.5, 1]
 
     def test_count(self, rng):
         x = rng.normal(size=57)
@@ -260,7 +260,7 @@ class TestTrain:
     def test_empty_data_rejected(self, rng):
         net = init_network(1, 3, 1, rng)
         from navcast.lstm import SupervisedWindowSet
-        empty = SupervisedWindowSet(np.empty((0, 4)), np.empty(0), ScaleParams(-1, 1))
+        empty = SupervisedWindowSet(np.empty((0, 4)), np.empty(0))
         with pytest.raises(ConfigurationError):
             train(net, empty, TrainConfig(epochs=1))
 
