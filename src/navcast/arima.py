@@ -8,7 +8,10 @@ Estimation conventions:
 * conditioning on the first p observations, pre-sample shocks are zero, and
   the CSS objective sums squared one-step residuals for t >= p;
 * pure AR fits (q == 0) are solved exactly by least squares on lagged values,
-  which is the minimizer of the same objective.
+  which is the minimizer of the same objective;
+* fits with MA terms minimize it by L-BFGS-B from Yule-Walker AR and zero MA
+  starts, with phi in [-10, 10], theta in [-0.99, 0.99] and the exact CSS
+  gradient (three filter passes per evaluation, see `_css`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .series import TimeSeries, adf_test, difference
 
 MAX_ITER = 500
 GRAD_TOL = 1e-8
+CSS_CAP = 1e300  # the objective's value where the residuals overflow
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,12 @@ class ArimaModel:
     def ar_stationary(self) -> bool:
         return _ar_roots_outside_unit_circle(self.ar_coeffs)
 
+    # Whether the fit that made this model converged: L-BFGS-B reported
+    # success and left its start point (closed-form fits always do).  Set on
+    # the instance by `fit`; a plain class attribute rather than a field, so it
+    # is neither saved nor compared, and a model read back reports True.
+    converged = True
+
     def css(self) -> float:
         eps = self.in_sample_residuals
         return float(eps @ eps)
@@ -102,15 +112,33 @@ def _arma_residuals(z, phi, theta):
 
 
 def _css(z, phi, theta, p):
+    """CSS objective and its exact gradient in (phi, theta).
+
+    With a = [1, -theta], u = z / a(B) and v = eps / a(B) (zero pre-sample),
+    d eps_t / d phi_i = -u_{t-i} and d eps_t / d theta_j = v_{t-j} (Box,
+    Jenkins, Reinsel & Ljung, ch. 7), so both sums cost two more filter passes
+    whatever p + q is.
+    """
+    q = len(theta)
+    a = np.concatenate(([1.0], -np.asarray(theta, dtype=float)))
     with np.errstate(over="ignore", invalid="ignore"):
         eps = _arma_residuals(z, phi, theta)
         tail = eps[p:]
         css = float(tail @ tail)
-    # Explosive candidates overflow; report a huge finite value so the
-    # optimizer backs away instead of propagating NaN.
-    if not np.isfinite(css):
-        return 1e300
-    return css
+        u = lfilter([1.0], a, z)
+        v = lfilter([1.0], a, eps)
+        n = len(z)
+        grad = np.empty(p + q)
+        for i in range(1, p + 1):
+            grad[i - 1] = -2.0 * (tail @ u[p - i: n - i])
+        for j in range(1, q + 1):
+            k = max(p, j)
+            grad[p + j - 1] = 2.0 * (eps[k:] @ v[k - j: n - j])
+    # Explosive candidates overflow; report a huge finite value and a zero
+    # gradient so the line search backs away instead of propagating NaN.
+    if not (np.isfinite(css) and np.all(np.isfinite(grad))):
+        return CSS_CAP, np.zeros(p + q)
+    return css, grad
 
 
 def _yule_walker_ar(z, p):
@@ -148,6 +176,7 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
     mu = float(w.mean())
     z = w - mu
 
+    converged = True
     if q == 0:
         # Exact least squares on lagged values; white noise has no coefficients.
         phi, theta = np.zeros(0), np.zeros(0)
@@ -165,13 +194,15 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
         res = minimize(
             objective,
             x0,
+            jac=True,
             method="L-BFGS-B",
             bounds=bounds,
             options={"maxiter": MAX_ITER, "gtol": GRAD_TOL},
         )
-        if not res.success and not np.isfinite(res.fun):
-            raise FitError(f"CSS optimization failed for ARIMA{order}: {res.message}")
+        if not res.fun < CSS_CAP:  # the cap, or NaN
+            raise FitError(f"CSS of ARIMA{order} overflows: {res.message}")
         phi, theta = res.x[:p], res.x[p:]
+        converged = bool(res.success) and not np.array_equal(res.x, x0)
 
     eps = _arma_residuals(z, phi, theta)
     model = ArimaModel(
@@ -183,6 +214,7 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
         in_sample_residuals=eps,
         n_obs=n,
     )
+    object.__setattr__(model, "converged", converged)
     if not model.ar_stationary:
         warnings.warn(f"AR polynomial of ARIMA{order} fit is non-stationary")
     return model
@@ -221,7 +253,7 @@ def select_order(series: TimeSeries, caps: ArimaOrder = ArimaOrder(5, 2, 5)) -> 
             order = ArimaOrder(p, d_chosen, q)
             try:
                 fits[order] = fit(series, order)
-                candidates.append((order, aic(fits[order]), True))
+                candidates.append((order, aic(fits[order]), fits[order].converged))
             except FIT_FAILURES:
                 candidates.append((order, float("inf"), False))
     converged = [c for c in candidates if c[2]]

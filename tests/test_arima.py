@@ -1,6 +1,7 @@
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +13,19 @@ from navcast.arima import (
     ArimaModel, ArimaOrder, aic, deserialize, fit, forecast_one, residuals, select_order, serialize,
 )
 from navcast.cli import generate_synthetic
-from navcast.errors import DegenerateInputError
+from navcast.errors import DegenerateInputError, FitError
 from conftest import as_series, random_walk, simulate_ar1, simulate_ma1
 
 V1_DOCUMENT = Path(__file__).parent / "data" / "arima_v1.txt"
+PAPER_PARAMS = {"sigma": 0.001, "amplitude": 4.0, "period": 25.0, "base": 10.0}
+
+
+def stationary_ar(pacf):
+    """AR coefficients with these partial autocorrelations (Durbin-Levinson)."""
+    phi = np.zeros(0)
+    for r in pacf:
+        phi = np.concatenate((phi - r * phi[::-1], [r]))
+    return phi
 
 
 def assert_same_model(a, b):
@@ -75,6 +85,29 @@ class TestFit:
         with pytest.raises(DegenerateInputError):
             fit(as_series([1.0, 2.0, 3.0]), ArimaOrder(2, 1, 2))
 
+    def test_overflowing_css_raises_fit_error(self):
+        # Differences near 1e160 square past the float64 range, so the CSS
+        # objective sits at its cap from the start.
+        values = 1e160 * np.random.default_rng(17).normal(size=60)
+        with pytest.raises(FitError):
+            fit(as_series(values), ArimaOrder(1, 0, 1))
+
+    def test_optimizer_uses_the_exact_gradient(self, monkeypatch):
+        # ARIMA(4,1,5) on the paper fixture's last 120-day training window
+        # takes 194 evaluations with the exact gradient and 1360 with
+        # 2-point finite differences.
+        s = generate_synthetic("linear-plus-sine", 1260, PAPER_PARAMS, seed=0).slice(780, 900)
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(arima_minimize(*args, **kwargs))
+            return results[-1]
+        arima_minimize = arima.minimize
+        monkeypatch.setattr(arima, "minimize", recording)
+        fit(s, ArimaOrder(4, 1, 5))
+        assert len(results) == 1
+        assert results[0].nfev < 300
+
     def test_sigma2_nonnegative(self):
         m = fit(as_series(simulate_ar1(0.4, 300, seed=4)), ArimaOrder(1, 0, 1))
         assert m.sigma2 >= 0
@@ -124,6 +157,31 @@ class TestSelectOrder:
             hits += (ch.p, ch.d, ch.q) == (1, 0, 0)
         assert hits >= 35
 
+    def test_a_fit_stuck_at_its_start_is_not_converged(self):
+        # The AR(1) test's seed 2: ARIMA(0,0,5) from theta = 0 stops after one
+        # iteration with CSS = z'z, so the search must not count it.
+        s = as_series(simulate_ar1(0.6, 2000, seed=2))
+        z = s.values - s.values.mean()
+        m = fit(s, ArimaOrder(0, 0, 5))
+        assert np.array_equal(m.ma_coeffs, np.zeros(5))
+        assert m.css() == pytest.approx(z @ z, rel=1e-12)
+        assert m.converged is False
+        assert fit(s, ArimaOrder(1, 0, 1)).converged is True
+        report = select_order(s, ArimaOrder(1, 0, 5))
+        flags = {order: ok for order, _, ok in report.candidates}
+        assert flags[ArimaOrder(0, 0, 5)] is False
+        assert flags[ArimaOrder(1, 0, 0)] is True
+
+    def test_an_overflowing_candidate_is_recorded_as_failed(self, monkeypatch):
+        # The ADF regression refuses values this large (its constant column
+        # falls below the rank tolerance), so d = 0 is given here.
+        monkeypatch.setattr(arima, "adf_test", lambda w: SimpleNamespace(is_stationary_5pct=True))
+        values = 1e160 * np.random.default_rng(17).normal(size=60)
+        report = select_order(as_series(values), ArimaOrder(1, 0, 1))
+        flags = {order: (value, ok) for order, value, ok in report.candidates}
+        assert flags[ArimaOrder(0, 0, 1)] == (float("inf"), False)
+        assert flags[ArimaOrder(1, 0, 1)] == (float("inf"), False)
+
     def test_chosen_minimal_aic_with_tiebreak(self):
         s = as_series(simulate_ar1(0.6, 600, seed=8))
         report = select_order(s, ArimaOrder(2, 0, 2))
@@ -149,6 +207,37 @@ class TestSelectOrder:
         for name in ("ar_coeffs", "ma_coeffs", "in_sample_residuals"):
             assert getattr(report.model, name).tobytes() == getattr(ref, name).tobytes()
         assert (report.model.intercept, report.model.sigma2) == (ref.intercept, ref.sigma2)
+
+
+class TestCssGradient:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_central_differences(self, data):
+        p, q = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        phi = stationary_ar(data.draw(st.lists(st.floats(-0.95, 0.95), min_size=p, max_size=p)))
+        theta = np.array(data.draw(st.lists(st.floats(-0.99, 0.99), min_size=q, max_size=q)))
+        n = data.draw(st.integers(p + q + 2, 80))
+        z = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=n)
+        x = np.concatenate((phi, theta))
+        value, grad = arima._css(z, phi, theta, p)
+        h = 1e-6
+        numeric = np.empty(p + q)
+        for k in range(p + q):
+            up, down = x.copy(), x.copy()
+            up[k] += h
+            down[k] -= h
+            numeric[k] = (arima._css(z, up[:p], up[p:], p)[0]
+                          - arima._css(z, down[:p], down[p:], p)[0]) / (2 * h)
+        assert value < arima.CSS_CAP
+        # Relative to the largest component; near a stationary point the
+        # differences' rounding error, about 1e-16 * CSS / h, sets the floor.
+        scale = max(np.max(np.abs(grad), initial=0.0), 1e-3 * value)
+        assert np.max(np.abs(grad - numeric), initial=0.0) <= 1e-6 * scale
+
+    def test_cap_returns_a_zero_gradient(self):
+        value, grad = arima._css(np.array([1e200, -1e200, 1e200]), [0.5], [0.5], 1)
+        assert value == arima.CSS_CAP
+        assert np.array_equal(grad, np.zeros(2))
 
 
 class TestForecastOne:

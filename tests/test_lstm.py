@@ -109,6 +109,27 @@ class TestForward:
         for b in range(7):
             assert forward(net, X[b]) == pytest.approx(batched[b], abs=1e-12)
 
+    @given(n_layers=st.integers(1, 3), hidden=st.integers(1, 6), m=st.integers(1, 8),
+           batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_batched_forward_is_a_loop_of_cell_forward(self, n_layers, hidden, m, batch, seed):
+        rng = np.random.default_rng(seed)
+        net = init_random_head(hidden, n_layers, rng)
+        net.head_b = rng.normal()
+        X = rng.normal(size=(batch, m))
+        batched = _forward_batch(net, X)
+        for b in range(batch):
+            inputs = [np.array([x]) for x in X[b]]
+            for layer in net.layers:
+                state = zero_state(hidden)
+                outputs = []
+                for x in inputs:
+                    state = cell_forward(layer, x, state)
+                    outputs.append(state.h)
+                inputs = outputs
+            expected = inputs[-1] @ net.head_w + net.head_b
+            assert batched[b] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
     def test_golden_regression_value(self):
         # frozen at build time from a seeded net and window
         rng = np.random.default_rng(2024)
