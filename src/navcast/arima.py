@@ -165,7 +165,11 @@ def _ar_roots_outside_unit_circle(phi) -> bool:
 
 
 def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
-    """Estimate an ARIMA(p,d,q) model by conditional sum of squares."""
+    """Estimate an ARIMA(p,d,q) model by conditional sum of squares.
+
+    Raises FitError, whatever the order, when the CSS of the final residuals
+    is not below CSS_CAP.
+    """
     p, d, q = order
     n = len(series)
     if n < p + q + d + 2:
@@ -199,18 +203,20 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
             bounds=bounds,
             options={"maxiter": MAX_ITER, "gtol": GRAD_TOL},
         )
-        if not res.fun < CSS_CAP:  # the cap, or NaN
-            raise FitError(f"CSS of ARIMA{order} overflows: {res.message}")
         phi, theta = res.x[:p], res.x[p:]
         converged = bool(res.success) and not np.array_equal(res.x, x0)
 
-    eps = _arma_residuals(z, phi, theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps = _arma_residuals(z, phi, theta)
+        css = float(eps @ eps)
+    if not css < CSS_CAP:  # past the cap, or NaN
+        raise FitError(f"CSS of ARIMA{order} overflows")
     model = ArimaModel(
         order=order,
         ar_coeffs=phi,
         ma_coeffs=theta,
         intercept=mu,
-        sigma2=float(eps @ eps) / len(z),
+        sigma2=css / len(z),
         in_sample_residuals=eps,
         n_obs=n,
     )

@@ -99,10 +99,15 @@ def generate_synthetic(kind: str, n: int, params: dict | None = None, seed: int 
     params = dict(params or {})
     base = float(params.pop("base", 2.0))
     rng = np.random.default_rng(seed)
-    if kind == "random-walk":
+    if kind in ("random-walk", "linear-plus-sine"):
         drift = float(params.pop("drift", 0.0))
         sigma = float(params.pop("sigma", 0.01))
+        if kind == "linear-plus-sine":
+            amplitude = float(params.pop("amplitude", 0.1))
+            period = float(params.pop("period", 50.0))
         values = base + np.concatenate(([0.0], np.cumsum(rng.normal(drift, sigma, n - 1))))
+        if kind == "linear-plus-sine":
+            values = values + amplitude * np.sin(2 * np.pi * np.arange(n) / period)
     elif kind == "ar1":
         phi = float(params.pop("phi", 0.6))
         sigma = float(params.pop("sigma", 0.01))
@@ -112,14 +117,6 @@ def generate_synthetic(kind: str, n: int, params: dict | None = None, seed: int 
         for t in range(1, n):
             x[t] = phi * x[t - 1] + shocks[t]
         values = base + x
-    elif kind == "linear-plus-sine":
-        drift = float(params.pop("drift", 0.0))
-        sigma = float(params.pop("sigma", 0.01))
-        amplitude = float(params.pop("amplitude", 0.1))
-        period = float(params.pop("period", 50.0))
-        walk = base + np.concatenate(([0.0], np.cumsum(rng.normal(drift, sigma, n - 1))))
-        t = np.arange(n)
-        values = walk + amplitude * np.sin(2 * np.pi * t / period)
     else:
         raise ConfigurationError(f"unknown synthetic kind {kind!r}")
     if params:
@@ -217,7 +214,7 @@ def cmd_compare(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig, out_dir: 
     actuals = series.values[test_start: spec.total]
 
     with open(out_dir / "predictions.csv", "w", encoding="utf-8") as fh:
-        fh.write("date,actual,arima,lstm,hybrid\n")
+        fh.write(",".join(("date", "actual") + MODEL_KINDS) + "\n")
         for j, (ts, actual) in enumerate(zip(dates, actuals)):
             cells = [ts.isoformat(), repr(float(actual))]
             for kind in MODEL_KINDS:
@@ -281,15 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
 
     def add_train_flags(p):
+        default = TrainConfig()
         p.add_argument("--split", type=_parse_split, default=None,
                        help="train,val,test lengths (default: 900,100,260 scaled)")
         p.add_argument("--order", type=_parse_order, default="auto")
-        p.add_argument("--lr", type=float, default=0.005)
-        p.add_argument("--epochs", type=int, default=100)
-        p.add_argument("--batch", type=int, default=64)
-        p.add_argument("--layers", type=int, default=3)
-        p.add_argument("--hidden", type=int, default=32)
-        p.add_argument("--window-m", type=int, default=20)
+        p.add_argument("--lr", type=float, default=default.learning_rate)
+        p.add_argument("--epochs", type=int, default=default.epochs)
+        p.add_argument("--batch", type=int, default=default.batch_size)
+        p.add_argument("--layers", type=int, default=default.layers)
+        p.add_argument("--hidden", type=int, default=default.hidden_dim)
+        p.add_argument("--window-m", type=int, default=default.window_m)
 
     p = sub.add_parser("analyze", help="ADF / ACF / PACF / differencing artifacts")
     add_common(p)

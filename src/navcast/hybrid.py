@@ -59,18 +59,15 @@ class EvalRun:
     step_models: tuple = ()
 
 
-def _train_net(stream, continued, scale: ScaleParams, cfg: TrainConfig):
-    """Train a fresh net, seeded by cfg.seed, on the windows of `stream`.
+def _train_net(stream, n_train: int, scale: ScaleParams, cfg: TrainConfig):
+    """Train a fresh net, seeded by cfg.seed, on the windows of stream[:n_train].
 
-    `continued`, when given, is the same stream continued through the
-    validation segment; the windows of its continuation feed the per-epoch
-    validation loss.
+    The windows of `stream` that end past n_train (its continuation through
+    the validation segment) feed the per-epoch validation loss.
     """
     m = cfg.window_m
-    data = lstm_mod.make_windows(stream, m, scale)
-    val_windows = None
-    if continued is not None and len(continued) > len(stream):
-        val_windows = lstm_mod.make_windows(continued[len(stream) - m:], m, scale)
+    data = lstm_mod.make_windows(stream[:n_train], m, scale)
+    val_windows = lstm_mod.make_windows(stream[n_train - m:], m, scale)
     net = lstm_mod.init_network(1, cfg.hidden_dim, cfg.layers, np.random.default_rng(cfg.seed))
     return lstm_mod.train(net, data, cfg, val_data=val_windows)
 
@@ -83,50 +80,42 @@ def _net_forecast(net: LstmNetwork, window, scale: ScaleParams) -> float:
 
 def fit_hybrid(
     train: TimeSeries,
-    val: TimeSeries | None,
+    val: TimeSeries,
     arima_model: arima_mod.ArimaModel,
     cfg: TrainConfig = None,
 ) -> HybridModel:
     """Train the residual LSTM on the in-sample errors of `arima_model`.
 
-    `arima_model` is an ARIMA model already fitted on train.  The validation
-    segment, when given, only produces a per-epoch quality trace (best-epoch
-    validation MSE is recorded); final weights are always last-epoch.
+    `arima_model` is an ARIMA model already fitted on train.  The net trains on
+    its residuals over train; their continuation through val only scores each
+    epoch (best-epoch validation MSE is recorded); weights are last-epoch.
     """
     cfg = cfg or TrainConfig()
-    resid = arima_mod.residuals(arima_model, train)
-    if len(resid) <= cfg.window_m:
+    joint = TimeSeries(
+        train.timestamps + val.timestamps,
+        np.concatenate((train.values, val.values)),
+        train.name,
+    )
+    stream = arima_mod.residuals(arima_model, joint)
+    n_train = len(stream) - len(val)
+    if n_train <= cfg.window_m:
         raise ConfigurationError(
-            f"{len(resid)} training residuals cannot fill windows of length {cfg.window_m}"
+            f"{n_train} training residuals cannot fill windows of length {cfg.window_m}"
         )
     # Symmetric scaling so that zero residual maps to zero scaled value: with
     # the zero-initialized output head the untrained correction is then
     # exactly 0 and the hybrid starts at the pure linear baseline.
-    bound = float(np.max(np.abs(resid)))
+    bound = float(np.max(np.abs(stream[:n_train])))
     if bound == 0.0:
         raise DegenerateInputError("all training residuals are zero")
     scale = ScaleParams(-bound, bound)
-
-    continued = None
-    if val is not None and len(val) > 0:
-        # Residual stream continued through the validation segment: the model
-        # stays fixed, only the data window extends.
-        joint = TimeSeries(
-            train.timestamps + val.timestamps,
-            np.concatenate((train.values, val.values)),
-            train.name,
-        )
-        continued = arima_mod.residuals(arima_model, joint)
-    result = _train_net(resid, continued, scale, cfg)
-    val_mse = None
-    if result.val_losses is not None:
-        val_mse = float(result.val_losses[result.best_val_epoch])
+    result = _train_net(stream, n_train, scale, cfg)
     return HybridModel(
         arima=arima_model,
         residual_net=result.net,
         residual_scale=scale,
         window_m=cfg.window_m,
-        val_mse=val_mse,
+        val_mse=float(result.val_losses[result.best_val_epoch]),
         best_val_epoch=result.best_val_epoch,
     )
 
@@ -212,7 +201,7 @@ def sliding_window_evaluate(
         # window and config as the residual net.
         scale = fit_scale(train.values)
         fitted = _train_net(
-            train.values, np.concatenate((train.values, val.values)), scale, cfg).net
+            np.concatenate((train.values, val.values)), len(train), scale, cfg).net
         for j, t in enumerate(range(test_start, n)):
             preds[j] = _net_forecast(fitted, series.segment(t - cfg.window_m, t), scale)
             actuals[j] = series.segment(t, t + 1)[0]

@@ -178,15 +178,11 @@ def pacf(values, max_lag: int) -> list[CorrelogramPoint]:
     phi_prev = np.zeros(0)
     points = []
     for k in range(1, max_lag + 1):
-        if k == 1:
-            phi_kk = rho[0]
-            phi = np.array([phi_kk])
-        else:
-            den = 1.0 - float(np.dot(phi_prev, rho[:k - 1]))
-            if abs(den) < 1e-14:
-                raise NumericalError(f"Durbin-Levinson recursion singular at lag {k}")
-            phi_kk = (rho[k - 1] - float(np.dot(phi_prev, rho[k - 2::-1]))) / den
-            phi = np.concatenate((phi_prev - phi_kk * phi_prev[::-1], [phi_kk]))
+        den = 1.0 - float(np.dot(phi_prev, rho[:k - 1]))
+        if abs(den) < 1e-14:
+            raise NumericalError(f"Durbin-Levinson recursion singular at lag {k}")
+        phi_kk = (rho[k - 1] - float(np.dot(phi_prev, rho[:k - 1][::-1]))) / den
+        phi = np.concatenate((phi_prev - phi_kk * phi_prev[::-1], [phi_kk]))
         points.append(CorrelogramPoint(k, float(phi_kk), bound))
         phi_prev = phi
     return points
@@ -196,7 +192,8 @@ def _ols(X, y):
     """Least squares with coefficient standard errors."""
     coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < X.shape[1]:
-        raise NumericalError("collinear regressors in ADF regression")
+        raise NumericalError("rank-deficient ADF regression: collinear regressors, "
+                             "or values too large for the least-squares rank tolerance")
     resid = y - X @ coef
     dof = len(y) - X.shape[1]
     sigma2 = float(resid @ resid) / dof

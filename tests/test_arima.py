@@ -13,7 +13,7 @@ from navcast.arima import (
     ArimaModel, ArimaOrder, aic, deserialize, fit, forecast_one, residuals, select_order, serialize,
 )
 from navcast.cli import generate_synthetic
-from navcast.errors import DegenerateInputError, FitError
+from navcast.errors import AnalysisError, DegenerateInputError, FitError
 from conftest import as_series, random_walk, simulate_ar1, simulate_ma1
 
 V1_DOCUMENT = Path(__file__).parent / "data" / "arima_v1.txt"
@@ -86,11 +86,12 @@ class TestFit:
             fit(as_series([1.0, 2.0, 3.0]), ArimaOrder(2, 1, 2))
 
     def test_overflowing_css_raises_fit_error(self):
-        # Differences near 1e160 square past the float64 range, so the CSS
-        # objective sits at its cap from the start.
+        # Values near 1e160 square past the float64 range, so the CSS
+        # overflows whether the optimizer or the closed form fits it.
         values = 1e160 * np.random.default_rng(17).normal(size=60)
-        with pytest.raises(FitError):
-            fit(as_series(values), ArimaOrder(1, 0, 1))
+        for order in ((1, 0, 1), (0, 0, 0), (2, 0, 0)):
+            with pytest.raises(FitError):
+                fit(as_series(values), ArimaOrder(*order))
 
     def test_optimizer_uses_the_exact_gradient(self, monkeypatch):
         # ARIMA(4,1,5) on the paper fixture's last 120-day training window
@@ -173,14 +174,27 @@ class TestSelectOrder:
         assert flags[ArimaOrder(1, 0, 0)] is True
 
     def test_an_overflowing_candidate_is_recorded_as_failed(self, monkeypatch):
+        # Only the candidates with MA terms overflow: their residual filter
+        # returns values whose squares pass the float64 range.
+        arma_residuals = arima._arma_residuals
+
+        def overflowing_with_ma(z, phi, theta):
+            return np.full(len(z), 1e160) if len(theta) else arma_residuals(z, phi, theta)
+        monkeypatch.setattr(arima, "_arma_residuals", overflowing_with_ma)
+        s = as_series(simulate_ar1(0.6, 300, seed=0))
+        report = select_order(s, ArimaOrder(1, 0, 1))
+        flags = {order: (value, ok) for order, value, ok in report.candidates}
+        assert flags[ArimaOrder(0, 0, 1)] == (float("inf"), False)
+        assert flags[ArimaOrder(1, 0, 1)] == (float("inf"), False)
+        assert report.chosen == ArimaOrder(1, 0, 0)
+
+    def test_a_search_where_every_candidate_overflows_chooses_nothing(self, monkeypatch):
         # The ADF regression refuses values this large (its constant column
         # falls below the rank tolerance), so d = 0 is given here.
         monkeypatch.setattr(arima, "adf_test", lambda w: SimpleNamespace(is_stationary_5pct=True))
         values = 1e160 * np.random.default_rng(17).normal(size=60)
-        report = select_order(as_series(values), ArimaOrder(1, 0, 1))
-        flags = {order: (value, ok) for order, value, ok in report.candidates}
-        assert flags[ArimaOrder(0, 0, 1)] == (float("inf"), False)
-        assert flags[ArimaOrder(1, 0, 1)] == (float("inf"), False)
+        with pytest.raises(AnalysisError, match="no ARIMA candidate converged"):
+            select_order(as_series(values), ArimaOrder(1, 0, 1))
 
     def test_chosen_minimal_aic_with_tiebreak(self):
         s = as_series(simulate_ar1(0.6, 600, seed=8))

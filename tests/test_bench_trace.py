@@ -77,6 +77,8 @@ def test_fixed_order_refit_compare_fits_and_forecasts_once_per_step(traced_compa
     assert count(spans, "arima.forecast_one") == test_len
     assert count(spans, "hybrid.predict_one") == 0
     assert count(spans, "hybrid.fit_hybrid") == 1
+    # one residual stream over train + val for the fit, then one per test step
+    assert count(spans, "arima.residuals") == test_len + 1
     assert count(spans, "lstm.train") == 2
 
 

@@ -18,7 +18,17 @@ from navcast.cli import (
     main,
     write_series_csv,
 )
-from navcast.errors import IngestionError
+import navcast.arima as arima_mod
+import navcast.cli as cli_mod
+import navcast.lstm as lstm_mod
+from navcast.errors import (
+    AnalysisError,
+    ConfigurationError,
+    DegenerateInputError,
+    FitError,
+    IngestionError,
+    NumericalError,
+)
 from navcast.series import SplitSpec, acf
 
 
@@ -201,8 +211,6 @@ class TestCompareCommand:
         assert (out1 / "predictions.csv").read_bytes() == (out2 / "predictions.csv").read_bytes()
 
     def test_one_order_search_and_two_trainings(self, tmp_path, monkeypatch):
-        import navcast.arima as arima_mod
-        import navcast.lstm as lstm_mod
         calls = {"select_order": 0, "train": 0}
 
         def counting(module, name):
@@ -222,8 +230,6 @@ class TestCompareCommand:
     def test_models_are_the_training_segment_hybrid_under_refit(self, tmp_path):
         from dataclasses import replace
 
-        import navcast.arima as arima_mod
-        import navcast.lstm as lstm_mod
         from navcast.hybrid import SEED_OFFSETS, fit_hybrid
         from navcast.lstm import TrainConfig
 
@@ -243,7 +249,6 @@ class TestCompareCommand:
         assert (out / "models" / "lstm.txt").read_text() == lstm_mod.serialize(ref.residual_net)
 
     def test_one_arima_walk_under_refit(self, tmp_path, monkeypatch):
-        import navcast.arima as arima_mod
         original, calls = arima_mod.fit, []
 
         def counting_fit(*args, **kwargs):
@@ -258,8 +263,6 @@ class TestCompareCommand:
         assert len(calls) == 1 + test_len
 
     def test_failed_refit_fails_arima_and_hybrid_once(self, tmp_path, monkeypatch):
-        import navcast.arima as arima_mod
-        from navcast.errors import FitError
         original, refits = arima_mod.fit, []
 
         def failing_refit(series, order):
@@ -278,8 +281,6 @@ class TestCompareCommand:
         assert [r["model"] for r in payload["rows"]] == ["lstm"]
 
     def test_model_files_deserializable(self, tmp_path):
-        import navcast.arima as arima_mod
-        import navcast.lstm as lstm_mod
         _, out = self.run_compare(tmp_path)
         arima_mod.deserialize((out / "models" / "arima.txt").read_text())
         lstm_mod.deserialize((out / "models" / "lstm.txt").read_text())
@@ -366,7 +367,6 @@ class TestExitCodes:
         assert not (out / "models").exists()
 
     def test_compare_window_L_below_one_trains_nothing(self, tmp_path, monkeypatch):
-        import navcast.lstm as lstm_mod
         trainings = []
         original = lstm_mod.train
         monkeypatch.setattr(lstm_mod, "train",
@@ -398,6 +398,52 @@ class TestExitCodes:
                      "--layers", "1", "--hidden", "4"])
         assert code == EXIT_TRAINING
         assert "non-finite gradient" in capsys.readouterr().err
+
+    # The exit code README documents for each NavcastError subclass.
+    DOCUMENTED = {IngestionError: EXIT_INGESTION, AnalysisError: EXIT_ANALYSIS,
+                  DegenerateInputError: EXIT_ANALYSIS, NumericalError: EXIT_ANALYSIS,
+                  FitError: EXIT_TRAINING, ConfigurationError: EXIT_USAGE}
+    # Each stage, by every module attribute it is called through.
+    STAGES = {
+        "ingest_csv": [(cli_mod, "ingest_csv")],
+        "adf_test": [(cli_mod, "adf_test"), (arima_mod, "adf_test")],
+        "arima.fit": [(arima_mod, "fit")],
+        "lstm.train": [(lstm_mod, "train")],
+        "compare_models": [(cli_mod, "compare_models")],
+    }
+    REACHED = {
+        "synth": (),
+        "analyze": ("ingest_csv", "adf_test"),
+        "fit-arima": ("ingest_csv", "adf_test", "arima.fit"),
+        "fit-hybrid": ("ingest_csv", "adf_test", "arima.fit", "lstm.train"),
+        "compare": tuple(STAGES),
+    }
+
+    def documented_code(self, command, stage, error):
+        if stage not in self.REACHED[command]:
+            return EXIT_OK
+        if command == "compare" and stage in ("adf_test", "arima.fit", "lstm.train"):
+            return EXIT_TRAINING  # that kind's failure is recorded, the others run
+        if stage == "arima.fit":
+            return EXIT_ANALYSIS  # every candidate of the order search fails
+        return self.DOCUMENTED[error]
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(sorted(REACHED)), stage=st.sampled_from(sorted(STAGES)),
+           error=st.sampled_from(sorted(DOCUMENTED, key=lambda e: e.__name__)))
+    def test_a_failing_stage_exits_with_its_documented_code(self, command, stage, error):
+        def failing(*args, **kwargs):
+            raise error(f"{stage} failed")
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            csv = Path(tmp) / "s.csv"
+            write_series_csv(csv, generate_synthetic(
+                "linear-plus-sine", 80, {"sigma": 0.03, "amplitude": 0.3, "period": 25}, seed=3))
+            for module, name in self.STAGES[stage]:
+                mp.setattr(module, name, failing)
+            argv = [command, "--out", tmp] + ([] if command == "synth" else ["--input", str(csv)])
+            if command in ("fit-hybrid", "compare"):
+                argv += ["--epochs", "1", "--layers", "1", "--hidden", "2", "--window-m", "5"]
+            assert main(argv) == self.documented_code(command, stage, error)
 
     def test_analysis_error_on_tiny_series(self, tmp_path):
         p = tmp_path / "tiny.csv"

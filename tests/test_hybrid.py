@@ -16,7 +16,7 @@ from navcast.hybrid import (
 )
 from navcast.lstm import LstmNetwork, TrainConfig, init_network
 from navcast.series import SplitSpec, TimeSeries
-from navcast.metrics import mse
+from navcast.metrics import MODEL_KINDS, mse
 from conftest import as_series
 
 FAST = TrainConfig(epochs=10, layers=1, hidden_dim=8, window_m=10, batch_size=32, seed=0)
@@ -41,8 +41,8 @@ class TestFitHybrid:
     def test_too_short_train_rejected(self):
         s = as_series(np.random.default_rng(0).normal(size=30) + 5)
         train = s.slice(0, 12)
-        with pytest.raises((ConfigurationError, DegenerateInputError)):
-            fit_hybrid(train, None, arima.fit(train, arima.ArimaOrder(0, 1, 0)),
+        with pytest.raises(ConfigurationError, match="11 training residuals"):
+            fit_hybrid(train, s.slice(12, 30), arima.fit(train, arima.ArimaOrder(0, 1, 0)),
                        TrainConfig(window_m=20, epochs=1))
 
     def test_random_walk_residuals_near_white(self):
@@ -171,24 +171,52 @@ class AuditedSeries(TimeSeries):
         return super().segment(start, stop)
 
 
-class TestCausality:
-    def test_no_future_reads_during_compare(self):
-        base = sine_walk(260, seed=14)
+def first_causality_violation(reads, test_start, n):
+    """The first read of a walk that looks past its prediction frontier, or None.
+
+    The frontier is the first test index whose actual has not been consumed.
+    A read may end at or before it; the only read allowed past it is
+    [frontier, frontier + 1), which consumes that actual after its prediction
+    and advances the frontier.  The walk must consume every test value.
+    """
+    frontier = test_start
+    for start, stop in reads:
+        if stop <= frontier:
+            continue
+        if (start, stop) != (frontier, frontier + 1):
+            return f"read [{start},{stop}) past frontier {frontier}"
+        frontier += 1
+    if frontier != n:
+        return f"walk consumed test values up to {frontier}, not {n}"
+    return None
+
+
+def audit_walks(base, spec, cfg):
+    """Run each kind's walk on its own AuditedSeries; kind -> first violation.
+
+    The hybrid walk gets the arima kind's run, made on another copy, so its
+    audit sees only the hybrid's own reads.
+    """
+    runs, verdicts = {}, {}
+    for kind in MODEL_KINDS:
         s = AuditedSeries(base.timestamps, base.values, base.name)
-        spec = SplitSpec(180, 30, 50)
-        test_start = 210
-        compare_models(s, spec, FAST)
-        # Reads must never run ahead of the prediction frontier: a test value
-        # at index t may be read only after being predicted, which the
-        # one-past-the-frontier pattern (stop == t+1 read after stop == t
-        # history reads) guarantees.  Verify no read skips the frontier.
-        frontier = test_start
-        for start, stop in s.reads:
-            if stop <= test_start:
-                continue
-            assert stop <= frontier + 1, f"read [{start},{stop}) beyond frontier {frontier}"
-            frontier = max(frontier, stop)
-        assert frontier == 260  # every test point was eventually consumed
+        runs[kind] = sliding_window_evaluate(
+            s, spec, kind, cfg, arima_run=runs["arima"] if kind == "hybrid" else None)
+        verdicts[kind] = first_causality_violation(
+            s.reads, spec.train_len + spec.val_len, spec.total)
+    return verdicts
+
+
+class TestCausality:
+    def test_each_walk_reads_a_test_value_only_to_consume_it(self):
+        verdicts = audit_walks(sine_walk(260, seed=14), SplitSpec(180, 30, 50), FAST)
+        assert verdicts == {kind: None for kind in MODEL_KINDS}
+
+    def test_a_one_step_look_ahead_is_caught(self):
+        reads = [(0, 180), (90, 210), (210, 211), (92, 212), (211, 212)]
+        assert first_causality_violation(reads, 210, 212) == "read [92,212) past frontier 211"
+        assert first_causality_violation(reads[:3], 210, 212) == (
+            "walk consumed test values up to 211, not 212")
 
 
 class TestCompareModels:

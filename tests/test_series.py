@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from navcast.errors import ConfigurationError, DegenerateInputError
+from navcast.errors import ConfigurationError, DegenerateInputError, NumericalError
 from navcast.series import (
     SplitSpec,
     TimeSeries,
@@ -126,6 +126,12 @@ class TestAdf:
     def test_too_short_rejected(self):
         with pytest.raises(DegenerateInputError):
             adf_test(np.arange(10.0))
+
+    def test_rank_deficiency_names_scale_as_a_cause(self):
+        # Near 1e160 the constant column falls below lstsq's rank tolerance,
+        # which is relative to the largest singular value: nothing is collinear.
+        with pytest.raises(NumericalError, match="values too large"):
+            adf_test(1e160 * np.random.default_rng(17).normal(size=60))
 
     def test_mean_reversion_does_not_flip_verdict(self):
         # Appending strongly mean-reverting data must not make a stationary
