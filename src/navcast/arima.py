@@ -20,6 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.optimize import minimize
 from scipy.signal import lfilter
 
@@ -72,13 +73,6 @@ class ArimaModel:
             )
 
     @property
-    def effective_n(self) -> int:
-        # Conditional estimation keeps all n - d residuals: the first p are
-        # computed against zero-padded pre-sample terms, not dropped, so every
-        # (p,q) candidate on the same series is scored on the same sample.
-        return self.n_obs - self.order.d
-
-    @property
     def ar_stationary(self) -> bool:
         return _ar_roots_outside_unit_circle(self.ar_coeffs)
 
@@ -87,10 +81,6 @@ class ArimaModel:
     # the instance by `fit`; a plain class attribute rather than a field, so it
     # is neither saved nor compared, and a model read back reports True.
     converged = True
-
-    def css(self) -> float:
-        eps = self.in_sample_residuals
-        return float(eps @ eps)
 
 
 @dataclass(frozen=True)
@@ -144,12 +134,12 @@ def _css(z, phi, theta, p):
 def _yule_walker_ar(z, p):
     """Yule-Walker AR(p) start values from the biased autocovariances."""
     n = len(z)
-    c = np.array([float(np.dot(z[: n - k], z[k:])) / n for k in range(p + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.array([float(np.dot(z[: n - k], z[k:])) / n for k in range(p + 1)])
     if c[0] <= 0:
         return np.zeros(p)
-    R = np.array([[c[abs(i - j)] for j in range(p)] for i in range(p)])
     try:
-        return np.linalg.solve(R, c[1: p + 1])
+        return np.linalg.solve(toeplitz(c[:p]), c[1: p + 1])
     except np.linalg.LinAlgError:
         return np.zeros(p)
 
@@ -227,13 +217,19 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
 
 
 def aic(model: ArimaModel) -> float:
-    """Gaussian-CSS Akaike criterion: n ln(CSS/n) + 2(p + q + 1)."""
-    n = model.effective_n
-    css = model.css()
-    if css <= 0.0 or n <= 0:
+    """Gaussian-CSS Akaike criterion: n ln(CSS/n) + 2(p + q + 1).
+
+    n is the number of residuals, n_obs - d, not n_obs - d - p: conditional
+    estimation computes the first p against zero-padded pre-sample terms
+    instead of dropping them, so every (p,q) candidate on the same series is
+    scored on the same sample.  `fit` stores sigma2 = CSS/n, so n ln(sigma2)
+    is n ln(CSS/n) bitwise.
+    """
+    n = len(model.in_sample_residuals)
+    if not model.sigma2 > 0:
         raise DegenerateInputError("AIC undefined for zero residual sum of squares")
     k = model.order.p + model.order.q + 1
-    return n * float(np.log(css / n)) + 2 * k
+    return n * float(np.log(model.sigma2)) + 2 * k
 
 
 def select_order(series: TimeSeries, caps: ArimaOrder = ArimaOrder(5, 2, 5)) -> OrderSearchReport:
@@ -253,18 +249,23 @@ def select_order(series: TimeSeries, caps: ArimaOrder = ArimaOrder(5, 2, 5)) -> 
             f"series is not stationary after up to {caps.d} differences; "
             "unsuitable for ARIMA modelling"
         )
-    candidates, fits = [], {}
+    candidates, fits, failures = [], {}, []
     for p in range(caps.p + 1):
         for q in range(caps.q + 1):
             order = ArimaOrder(p, d_chosen, q)
             try:
                 fits[order] = fit(series, order)
                 candidates.append((order, aic(fits[order]), fits[order].converged))
-            except FIT_FAILURES:
+            except FIT_FAILURES as exc:
                 candidates.append((order, float("inf"), False))
+                failures.append(f"ARIMA{order}: {type(exc).__name__}: {exc}")
     converged = [c for c in candidates if c[2]]
     if not converged:
-        raise AnalysisError("no ARIMA candidate converged")
+        first = f"; first failure {failures[0]}" if failures else ""
+        raise AnalysisError(
+            f"no ARIMA candidate converged: {len(failures)} raised, "
+            f"{len(candidates) - len(failures)} stopped without converging{first}"
+        )
     chosen = min(converged, key=lambda c: (c[1], c[0].p + c[0].q, c[0].p))[0]
     return OrderSearchReport(candidates=candidates, chosen=chosen, model=fits[chosen])
 

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.signal import lfilter
 
 from . import arima as arima_mod
 from . import lstm as lstm_mod
@@ -38,6 +39,10 @@ EXIT_ANALYSIS = 4
 EXIT_TRAINING = 5
 
 SYNTH_START_DATE = datetime.date(2016, 6, 6)
+
+# Each training flag and the TrainConfig field it sets.
+TRAIN_FLAGS = (("--lr", "learning_rate"), ("--epochs", "epochs"), ("--batch", "batch_size"),
+               ("--layers", "layers"), ("--hidden", "hidden_dim"), ("--window-m", "window_m"))
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +116,10 @@ def generate_synthetic(kind: str, n: int, params: dict | None = None, seed: int 
     elif kind == "ar1":
         phi = float(params.pop("phi", 0.6))
         sigma = float(params.pop("sigma", 0.01))
-        x = np.empty(n)
-        x[0] = 0.0
+        # x[0] = 0, x[t] = phi x[t-1] + shock[t]: the AR(1) filter 1 / (1 - phi B).
         shocks = rng.normal(0.0, sigma, n)
-        for t in range(1, n):
-            x[t] = phi * x[t - 1] + shocks[t]
-        values = base + x
+        shocks[0] = 0.0
+        values = base + lfilter([1.0], [1.0, -phi], shocks)
     else:
         raise ConfigurationError(f"unknown synthetic kind {kind!r}")
     if params:
@@ -282,12 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--split", type=_parse_split, default=None,
                        help="train,val,test lengths (default: 900,100,260 scaled)")
         p.add_argument("--order", type=_parse_order, default="auto")
-        p.add_argument("--lr", type=float, default=default.learning_rate)
-        p.add_argument("--epochs", type=int, default=default.epochs)
-        p.add_argument("--batch", type=int, default=default.batch_size)
-        p.add_argument("--layers", type=int, default=default.layers)
-        p.add_argument("--hidden", type=int, default=default.hidden_dim)
-        p.add_argument("--window-m", type=int, default=default.window_m)
+        for flag, name in TRAIN_FLAGS:
+            value = getattr(default, name)
+            p.add_argument(flag, type=type(value), default=value, dest=name,
+                           metavar=flag[2:].upper().replace("-", "_"))
 
     p = sub.add_parser("analyze", help="ADF / ACF / PACF / differencing artifacts")
     add_common(p)
@@ -317,18 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="CSV path (default <out>/synthetic.csv)")
 
     return parser
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        layers=args.layers,
-        hidden_dim=args.hidden,
-        window_m=args.window_m,
-        seed=args.seed,
-    )
 
 
 def main(argv=None) -> int:
@@ -380,7 +369,7 @@ def main(argv=None) -> int:
 
         spec = (SplitSpec.proportional(len(series)) if args.split is None
                 else SplitSpec(*args.split))
-        cfg = _train_config(args)
+        cfg = TrainConfig(seed=args.seed, **{name: getattr(args, name) for _, name in TRAIN_FLAGS})
         if args.command == "fit-hybrid":
             model = cmd_fit_hybrid(series, spec, args.order, cfg, out_dir)
             print(f"fitted hybrid: ARIMA{model.arima.order} + LSTM window {model.window_m}")

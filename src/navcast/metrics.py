@@ -78,16 +78,16 @@ def build_report(runs) -> MetricsReport:
     # Stable sort: kinds outside MODEL_KINDS follow it in input order.
     rank = {kind: i for i, kind in enumerate(MODEL_KINDS)}
     ordered = sorted(by_kind.values(), key=lambda run: rank.get(run.model_kind, len(rank)))
-    rows = [
-        MetricsRow(
+    rows = []
+    for run in ordered:
+        row_mse = mse(run.predictions, run.actuals)
+        rows.append(MetricsRow(
             model=run.model_kind,
-            mse=mse(run.predictions, run.actuals),
+            mse=row_mse,
             mae=mae(run.predictions, run.actuals),
-            rmse=rmse(run.predictions, run.actuals),
+            rmse=float(np.sqrt(row_mse)),
             n=len(run.predictions),
-        )
-        for run in ordered
-    ]
+        ))
     best_row = min(rows, key=lambda r: r.mse)
     ties = [r for r in rows if r.mse == best_row.mse]
     best = "tie" if len(ties) > 1 else best_row.model

@@ -188,20 +188,6 @@ def pacf(values, max_lag: int) -> list[CorrelogramPoint]:
     return points
 
 
-def _ols(X, y):
-    """Least squares with coefficient standard errors."""
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        raise NumericalError("rank-deficient ADF regression: collinear regressors, "
-                             "or values too large for the least-squares rank tolerance")
-    resid = y - X @ coef
-    dof = len(y) - X.shape[1]
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(X.T @ X)
-    se = np.sqrt(np.diag(cov))
-    return coef, se, resid
-
-
 def adf_test(values) -> AdfResult:
     """Augmented Dickey-Fuller unit-root test, constant-only regression.
 
@@ -216,25 +202,34 @@ def adf_test(values) -> AdfResult:
     max_lag = min(int(np.floor(12.0 * (n / 100.0) ** 0.25)), n // 2 - 2)
 
     dy = np.diff(y)
-    best = None
     # Common effective sample across candidate lags so AICs are comparable.
+    # The regression at lag k uses the first k + 2 columns: constant, level,
+    # then the lagged differences.
     t0 = max_lag + 1
+    lhs = dy[t0 - 1:]
+    neff = len(lhs)
+    X_all = np.column_stack([np.ones_like(lhs), y[t0 - 1:-1]]
+                            + [dy[t0 - 1 - i:-i] for i in range(1, max_lag + 1)])
+    best = None
     for lag in range(max_lag + 1):
-        lhs = dy[t0 - 1:]
-        cols = [np.ones_like(lhs), y[t0 - 1:-1]]
-        for i in range(1, lag + 1):
-            cols.append(dy[t0 - 1 - i:-i])
-        X = np.column_stack(cols)
-        coef, se, resid = _ols(X, lhs)
-        neff = len(lhs)
+        X = X_all[:, :lag + 2]
+        coef, _, rank, _ = np.linalg.lstsq(X, lhs, rcond=None)
+        if rank < X.shape[1]:
+            raise NumericalError("rank-deficient ADF regression: collinear regressors, "
+                                 "or values too large for the least-squares rank tolerance")
+        resid = lhs - X @ coef
         rss = float(resid @ resid)
         if rss <= 0.0:
             raise NumericalError("degenerate ADF regression (zero residual sum)")
         aic = neff * np.log(rss / neff) + 2 * X.shape[1]
-        stat = coef[1] / se[1]
         if best is None or aic < best[0]:
-            best = (aic, lag, float(stat))
-    return AdfResult(statistic=best[2], lag_used=best[1])
+            best = (aic, lag, coef, rss)
+    # Only the chosen lag's t-statistic is reported.
+    _, lag, coef, rss = best
+    X = X_all[:, :lag + 2]
+    sigma2 = rss / (neff - X.shape[1])
+    se = np.sqrt(sigma2 * np.linalg.inv(X.T @ X)[1, 1])
+    return AdfResult(statistic=float(coef[1] / se), lag_used=lag)
 
 
 def fit_scale(values) -> ScaleParams:

@@ -93,6 +93,16 @@ class TestFit:
             with pytest.raises(FitError):
                 fit(as_series(values), ArimaOrder(*order))
 
+    def test_overflow_raises_fit_error_before_any_warning(self):
+        # The Yule-Walker start's autocovariances overflow as well; they must
+        # not warn before fit reports the overflow.
+        values = 1e160 * np.random.default_rng(17).normal(size=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for order in ((1, 0, 1), (2, 0, 1), (3, 0, 2)):
+                with pytest.raises(FitError):
+                    fit(as_series(values), ArimaOrder(*order))
+
     def test_optimizer_uses_the_exact_gradient(self, monkeypatch):
         # ARIMA(4,1,5) on the paper fixture's last 120-day training window
         # takes 194 evaluations with the exact gradient and 1360 with
@@ -126,6 +136,18 @@ class TestAic:
             if aic(fit(s, ArimaOrder(3, 0, 0))) > aic(fit(s, ArimaOrder(1, 0, 0))):
                 wins += 1
         assert wins >= 40  # >= 80% of 50 trials
+
+    def test_every_paper_search_candidate_scores_n_ln_css_over_n(self):
+        # n = len(series) - d residuals; the value must match bitwise.
+        s = generate_synthetic("linear-plus-sine", 1260, PAPER_PARAMS, seed=0).slice(0, 900)
+        report = select_order(s)
+        assert len(report.candidates) == 36
+        for order, value, _ in report.candidates:
+            m = fit(s, order)
+            eps = m.in_sample_residuals
+            n = len(s) - order.d
+            expected = n * float(np.log(float(eps @ eps) / n)) + 2 * (order.p + order.q + 1)
+            assert aic(m) == value == expected, order
 
     def test_nav_scale_differences_strongly_negative(self):
         rng = np.random.default_rng(6)
@@ -165,7 +187,8 @@ class TestSelectOrder:
         z = s.values - s.values.mean()
         m = fit(s, ArimaOrder(0, 0, 5))
         assert np.array_equal(m.ma_coeffs, np.zeros(5))
-        assert m.css() == pytest.approx(z @ z, rel=1e-12)
+        eps = m.in_sample_residuals
+        assert float(eps @ eps) == pytest.approx(z @ z, rel=1e-12)
         assert m.converged is False
         assert fit(s, ArimaOrder(1, 0, 1)).converged is True
         report = select_order(s, ArimaOrder(1, 0, 5))

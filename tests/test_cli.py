@@ -1,6 +1,7 @@
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from navcast.errors import (
     IngestionError,
     NumericalError,
 )
-from navcast.series import SplitSpec, acf
+from navcast.series import SplitSpec, TimeSeries, acf
 
 
 class TestIngestCsv:
@@ -93,6 +94,18 @@ class TestGenerateSynthetic:
         a = generate_synthetic("random-walk", 100, seed=5)
         b = generate_synthetic("random-walk", 100, seed=5)
         assert np.array_equal(a.values, b.values)
+
+    def test_ar1_is_the_recurrence_bitwise(self):
+        for phi in (0.6, -0.5, 0.95):
+            for seed in (0, 1, 19):
+                for n in (30, 2000):
+                    shocks = np.random.default_rng(seed).normal(0.0, 0.01, n)
+                    x = np.empty(n)
+                    x[0] = 0.0
+                    for t in range(1, n):
+                        x[t] = phi * x[t - 1] + shocks[t]
+                    got = generate_synthetic("ar1", n, {"phi": phi}, seed=seed).values
+                    assert got.tobytes() == (2.0 + x).tobytes()
 
     def test_ar1_phi_zero_is_white_noise(self):
         s = generate_synthetic("ar1", 5000, {"phi": 0.0}, seed=6)
@@ -389,6 +402,20 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "window_L must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_search_that_chooses_nothing_names_the_first_failure(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # Every candidate's CSS overflows at this scale; ADF refuses such
+        # values, so d = 0 is given.
+        monkeypatch.setattr(arima_mod, "adf_test",
+                            lambda w: SimpleNamespace(is_stationary_5pct=True))
+        csv = tmp_path / "s.csv"
+        values = 1e160 * np.random.default_rng(17).uniform(1.0, 3.0, 60)
+        write_series_csv(csv, TimeSeries.from_values(values))
+        code = main(["fit-arima", "--input", str(csv), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ANALYSIS
+        err = capsys.readouterr().err
+        assert "36 raised" in err and "FitError" in err and "overflows" in err
 
     def test_training_divergence(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"

@@ -14,6 +14,7 @@ from navcast.series import (
     pacf,
     split,
 )
+from navcast.cli import generate_synthetic
 from conftest import as_series, random_walk, simulate_ar1, simulate_ar2
 
 
@@ -132,6 +133,24 @@ class TestAdf:
         # which is relative to the largest singular value: nothing is collinear.
         with pytest.raises(NumericalError, match="values too large"):
             adf_test(1e160 * np.random.default_rng(17).normal(size=60))
+
+    # (statistic, lag_used) pinned bitwise at their recorded values.
+    PAPER_SEGMENT = generate_synthetic(
+        "linear-plus-sine", 1260, {"sigma": 0.001, "amplitude": 4.0, "period": 25.0, "base": 10.0},
+        seed=0).slice(0, 900)
+    PINNED = {
+        "random walk": (random_walk(1000, seed=11), "-0x1.36c1999c59eaep+1", 0),
+        "white noise": (np.random.default_rng(12).normal(size=1000), "-0x1.d79f06c1d42c1p+4", 0),
+        "ar1": (simulate_ar1(0.6, 500, seed=3), "-0x1.5bf8c11a87e92p+3", 0),
+        "paper d=0": (difference(PAPER_SEGMENT, 0), "-0x1.d8ebeac45e654p-1", 14),
+        "paper d=1": (difference(PAPER_SEGMENT, 1), "-0x1.ed4ac097ab06fp+3", 15),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_statistic_and_lag(self, name):
+        values, statistic, lag = self.PINNED[name]
+        res = adf_test(values)
+        assert (res.statistic.hex(), res.lag_used) == (statistic, lag)
 
     def test_mean_reversion_does_not_flip_verdict(self):
         # Appending strongly mean-reverting data must not make a stationary
