@@ -7,12 +7,16 @@ Exit codes: 0 success, 2 usage/configuration, 3 ingestion, 4 analysis,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import datetime
+import functools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.signal import lfilter
 
 from . import arima as arima_mod
@@ -27,7 +31,7 @@ from .errors import (
     NavcastError,
     NumericalError,
 )
-from .hybrid import DEFAULT_WINDOW_L, compare_models, fit_hybrid
+from .hybrid import DEFAULT_WINDOW_L, compare_models, failure_message, fit_hybrid
 from .lstm import TrainConfig
 from .metrics import MODEL_KINDS, format_table
 from .series import SplitSpec, TimeSeries, acf, adf_test, difference, pacf, split
@@ -43,6 +47,53 @@ SYNTH_START_DATE = datetime.date(2016, 6, 6)
 # Each training flag and the TrainConfig field it sets.
 TRAIN_FLAGS = (("--lr", "learning_rate"), ("--epochs", "epochs"), ("--batch", "batch_size"),
                ("--layers", "layers"), ("--hidden", "hidden_dim"), ("--window-m", "window_m"))
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@functools.cache
+def _openblas_pools() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS pool that numpy and scipy load.
+
+    Each wheel bundles its own OpenBLAS, with its own pool; the suffix is that
+    library's symbol suffix.  A package whose library or symbols are absent
+    (MKL, a system BLAS) adds no pool.
+    """
+    pools = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for lib in sorted(libs.glob(f"libscipy_openblas{suffix}-*.so*")):
+            try:
+                handle = ctypes.CDLL(str(lib))
+                get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}")
+                set_ = getattr(handle, f"scipy_openblas_set_num_threads{suffix}")
+            except (OSError, AttributeError):
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            pools.append((get, set_))
+            break
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run the body with every OpenBLAS pool at one thread, then restore each count.
+
+    The CLI's linear algebra is many small solves, for which waking idle BLAS
+    threads costs more than they gain.
+    """
+    pools = _openblas_pools()
+    saved = [get() for get, _ in pools]
+    for _, set_threads in pools:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(pools, saved):
+            set_threads(count)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +276,10 @@ def cmd_compare(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig, out_dir: 
                 cells.append(repr(float(run.predictions[j])) if run is not None else "")
             fh.write(",".join(cells) + "\n")
 
+    messages = {kind: failure_message(exc) for kind, exc in result.failures.items()}
     payload = result.report.to_dict()
-    if result.failures:
-        payload["failed"] = result.failures
+    if messages:
+        payload["failed"] = messages
     (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     if "hybrid" in result.runs:
@@ -235,13 +287,24 @@ def cmd_compare(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig, out_dir: 
         _write_models(out_dir, hybrid.arima, hybrid.residual_net)
 
     print(format_table(result.report))
-    for kind, msg in result.failures.items():
+    for kind, msg in messages.items():
         print(f"FAILED {kind}: {msg}")
     return result
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
+
+
+def _exit_code(exc: BaseException) -> int:
+    """The documented exit code of an error that ends a command or fails a compare kind."""
+    if isinstance(exc, IngestionError):
+        return EXIT_INGESTION
+    if isinstance(exc, (AnalysisError, DegenerateInputError, NumericalError)):
+        return EXIT_ANALYSIS
+    if isinstance(exc, NavcastError) and not isinstance(exc, FitError):
+        return EXIT_USAGE
+    return EXIT_TRAINING  # FitError, and a kind's LinAlgError or FloatingPointError
 
 
 def _parse_split(text: str) -> tuple:
@@ -321,6 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    with _single_threaded_blas():
+        return _main(argv)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -378,19 +446,10 @@ def main(argv=None) -> int:
             result = cmd_compare(series, spec, cfg, out_dir,
                                  window_L=args.window_L, refit=args.refit,
                                  order=args.order)
-            return EXIT_OK if not result.failures else EXIT_TRAINING
-    except IngestionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGESTION
-    except (AnalysisError, DegenerateInputError, NumericalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ANALYSIS
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
+            return max(map(_exit_code, result.failures.values()), default=EXIT_OK)
     except NavcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _exit_code(exc)
     return EXIT_OK
 
 

@@ -239,7 +239,12 @@ def sliding_window_evaluate(
 class CompareResult:
     runs: dict  # kind -> EvalRun (successful only)
     report: "object"  # MetricsReport
-    failures: dict = field(default_factory=dict)  # kind -> error message
+    failures: dict = field(default_factory=dict)  # kind -> the exception that failed it
+
+
+def failure_message(exc: BaseException) -> str:
+    """How a failed kind's exception is reported: its class name and its message."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def compare_models(
@@ -255,7 +260,7 @@ def compare_models(
     The test segment is walked with ARIMA once: the arima kind runs the one
     order search and every trailing-window refit, and the hybrid kind adds its
     residual correction to that run's forecasts.  If the arima kind fails (search,
-    training fit or a refit), hybrid fails with the same message without
+    training fit or a refit), hybrid fails with the same exception without
     running; lstm still runs.
     """
     cfg = cfg or TrainConfig()
@@ -272,9 +277,9 @@ def compare_models(
                 arima_run=runs["arima"] if kind == "hybrid" else None,
             )
         except FIT_FAILURES as exc:  # one model failing must not sink the others
-            failures[kind] = f"{type(exc).__name__}: {exc}"
+            failures[kind] = exc
     if not runs:
-        causes = "; ".join(f"{kind}: {msg}" for kind, msg in failures.items())
+        causes = "; ".join(f"{kind}: {failure_message(exc)}" for kind, exc in failures.items())
         raise ConfigurationError(f"all three model evaluations failed ({causes})")
     report = build_report(runs.values())
     return CompareResult(runs=runs, report=report, failures=failures)

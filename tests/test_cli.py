@@ -1,10 +1,15 @@
+import ctypes
+import functools
+import importlib
 import json
+import os
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +35,7 @@ from navcast.errors import (
     IngestionError,
     NumericalError,
 )
+from navcast.hybrid import failure_message
 from navcast.series import SplitSpec, TimeSeries, acf
 
 
@@ -449,8 +455,8 @@ class TestExitCodes:
     def documented_code(self, command, stage, error):
         if stage not in self.REACHED[command]:
             return EXIT_OK
-        if command == "compare" and stage in ("adf_test", "arima.fit", "lstm.train"):
-            return EXIT_TRAINING  # that kind's failure is recorded, the others run
+        # compare records a failing kind, runs the others and exits with the failing
+        # error's code: the code another command gives the same error.
         if stage == "arima.fit":
             return EXIT_ANALYSIS  # every candidate of the order search fails
         return self.DOCUMENTED[error]
@@ -477,3 +483,141 @@ class TestExitCodes:
         p.write_text("date,nav\n2021-01-01,1.0\n2021-01-02,1.1\n", encoding="utf-8")
         code = main(["analyze", "--input", str(p), "--out", str(tmp_path / "o")])
         assert code == EXIT_ANALYSIS
+
+    @pytest.mark.parametrize("lstm_error, hybrid_error, code", [
+        (FloatingPointError, NumericalError, EXIT_TRAINING),
+        (NumericalError, np.linalg.LinAlgError, EXIT_TRAINING),
+        (ConfigurationError, NumericalError, EXIT_ANALYSIS),
+        (NumericalError, IngestionError, EXIT_ANALYSIS)])
+    def test_compare_exits_with_the_highest_code_of_its_failed_kinds(
+            self, tmp_path, monkeypatch, capsys, lstm_error, hybrid_error, code):
+        errors = iter([lstm_error("lstm kind failed"), hybrid_error("hybrid kind failed")])
+
+        def failing_train(*args, **kwargs):
+            raise next(errors)
+        monkeypatch.setattr(lstm_mod, "train", failing_train)
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 200, {"base": 10.0}, seed=0))
+        out = tmp_path / "o"
+        argv = ["compare", "--input", str(csv), "--out", str(out), "--order", "0,1,0",
+                "--epochs", "1", "--layers", "1", "--hidden", "4", "--window-m", "5"]
+        assert main(argv) == code
+        failed = {"lstm": f"{lstm_error.__name__}: lstm kind failed",
+                  "hybrid": f"{hybrid_error.__name__}: hybrid kind failed"}
+        assert json.loads((out / "metrics.json").read_text())["failed"] == failed
+        stdout = capsys.readouterr().out
+        assert all(f"FAILED {kind}: {msg}\n" in stdout for kind, msg in failed.items())
+
+
+def openblas_thread_pools():
+    """(get, set) thread-count functions of numpy's and scipy's OpenBLAS, as found here."""
+    pools = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for lib in libs.glob(f"libscipy_openblas{suffix}-*.so*"):
+            handle = ctypes.CDLL(str(lib))
+            get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                pools.append((get, set_))
+    return pools
+
+
+def missing_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+def library_without_symbols(path):
+    return SimpleNamespace()
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def counts(self):
+        """Puts every pool at two threads for the test and returns a reader of the counts.
+
+        Two threads, so that one thread inside main and a restored count after it
+        differ; never more than os.cpu_count().
+        """
+        pools = openblas_thread_pools()
+        if not pools:
+            pytest.skip("neither numpy's nor scipy's OpenBLAS thread pool was found")
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("one CPU: no count above one to tell a restored pool from main's")
+        saved = [get() for get, _ in pools]
+        for _, set_threads in pools:
+            set_threads(2)
+        yield lambda: [get() for get, _ in pools]
+        for (_, set_threads), count in zip(pools, saved):
+            set_threads(count)
+
+    @pytest.fixture
+    def csv(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_series_csv(path, generate_synthetic("random-walk", 200, {"base": 10.0}, seed=0))
+        return path
+
+    def test_fit_arima_and_compare_run_on_one_thread(self, counts, csv, tmp_path, monkeypatch):
+        original, seen = arima_mod.fit, []
+
+        def recording_fit(*args, **kwargs):
+            seen.append(counts())
+            return original(*args, **kwargs)
+        monkeypatch.setattr(arima_mod, "fit", recording_fit)
+        for argv in (["fit-arima"],
+                     ["compare", "--epochs", "1", "--layers", "1", "--hidden", "4",
+                      "--window-m", "5"]):
+            seen.clear()
+            code = main(argv + ["--input", str(csv), "--out", str(tmp_path / argv[0]),
+                                "--order", "0,1,0"])
+            assert code == EXIT_OK
+            assert seen and all(c == [1] * len(c) for c in seen), (argv[0], seen)
+
+    def test_main_restores_the_counts_it_found(self, counts, csv, tmp_path, monkeypatch):
+        before = counts()
+        assert before == [2] * len(before)
+        assert main(["fit-arima", "--input", str(csv), "--out", str(tmp_path / "ok"),
+                     "--order", "0,1,0"]) == EXIT_OK
+        assert counts() == before
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("date,nav\n2021-01-01,1.0\n2021-01-02,1.1\n", encoding="utf-8")
+        assert main(["analyze", "--input", str(tiny), "--out", str(tmp_path / "a")]) == (
+            EXIT_ANALYSIS)
+        assert counts() == before
+
+        def broken_fit(*args, **kwargs):
+            raise TypeError("broken fit")
+        monkeypatch.setattr(arima_mod, "fit", broken_fit)
+        with pytest.raises(TypeError, match="broken fit"):
+            main(["fit-arima", "--input", str(csv), "--out", str(tmp_path / "t"),
+                  "--order", "0,1,0"])
+        assert counts() == before
+
+    def test_import_sets_no_thread_count(self, counts):
+        before = counts()
+        importlib.reload(cli_mod)
+        assert counts() == before
+
+    @pytest.mark.parametrize("cdll", [missing_library, library_without_symbols])
+    def test_without_openblas_fit_arima_writes_the_same_bytes(self, csv, tmp_path,
+                                                              monkeypatch, cdll):
+        assert main(["fit-arima", "--input", str(csv), "--out", str(tmp_path / "blas")]) == EXIT_OK
+        monkeypatch.setattr(cli_mod, "_openblas_pools",
+                            functools.cache(cli_mod._openblas_pools.__wrapped__))
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert main(["fit-arima", "--input", str(csv), "--out", str(tmp_path / "none")]) == EXIT_OK
+        assert cli_mod._openblas_pools() == ()
+        assert ((tmp_path / "none" / "models" / "arima.txt").read_bytes()
+                == (tmp_path / "blas" / "models" / "arima.txt").read_bytes())
+
+    def test_fit_arima_bits_do_not_depend_on_the_thread_count(self, counts, tmp_path):
+        # In process the search runs with two threads per pool, inside main with one.
+        series = generate_synthetic("linear-plus-sine", 1260, {
+            "sigma": 0.001, "amplitude": 4.0, "period": 25.0, "base": 10.0}, seed=0)
+        csv = tmp_path / "paper.csv"
+        write_series_csv(csv, series)
+        assert main(["fit-arima", "--input", str(csv), "--out", str(tmp_path / "o")]) == EXIT_OK
+        in_process = arima_mod.serialize(arima_mod.select_order(ingest_csv(csv)).model)
+        assert (tmp_path / "o" / "models" / "arima.txt").read_text(encoding="utf-8") == in_process
