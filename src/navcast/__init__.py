@@ -4,6 +4,7 @@ one-step-ahead forecasting of fund net-asset-value series."""
 from .arima import ArimaModel, ArimaOrder, OrderSearchReport, aic, fit, forecast_one, residuals, select_order
 from .errors import (
     AnalysisError,
+    ComparisonError,
     ConfigurationError,
     DegenerateInputError,
     FitError,

@@ -11,7 +11,13 @@ Estimation conventions:
   which is the minimizer of the same objective;
 * fits with MA terms minimize it by L-BFGS-B from Yule-Walker AR and zero MA
   starts, with phi in [-10, 10], theta in [-0.99, 0.99] and the exact CSS
-  gradient (three filter passes per evaluation, see `_css`).
+  gradient (two residual passes per evaluation, one of them backwards in
+  time, see `_css`).
+
+The residual recursion eps = phi(B) z / (1 - theta(B)) is one FIR pass
+(`np.convolve`) and one unit lower triangular banded solve (LAPACK dtbtrs
+from scipy.linalg), so the module loads scipy.optimize and scipy.linalg but
+not scipy.signal, which would also load scipy.stats.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from . import _doc
 from .errors import FIT_FAILURES, AnalysisError, DegenerateInputError, FitError
@@ -94,36 +100,43 @@ def _arma_residuals(z, phi, theta):
     """One-step residuals of the ARMA recursion with zero pre-sample terms.
 
     eps_t = z_t - sum phi_i z_{t-i} + sum theta_j eps_{t-j}, run from t=0 with
-    z and eps zero-padded before the sample.
+    z and eps zero-padded before the sample: the FIR pass phi(B) z, then
+    forward substitution in (1 - theta(B)) eps = phi(B) z, a unit lower
+    triangular banded system (Golub & Van Loan, Matrix Computations, 4.3).
     """
-    b = np.concatenate(([1.0], -np.asarray(phi, dtype=float)))
-    a = np.concatenate(([1.0], -np.asarray(theta, dtype=float)))
-    return lfilter(b, a, z)
+    n = len(z)
+    ar = np.convolve(z, np.concatenate(([1.0], np.negative(phi, dtype=float))))[:n]
+    # LAPACK's lower band storage: column t holds [1, -theta_1, ..., -theta_q],
+    # the unit diagonal (not read) and the q entries below it; with q = 0 the
+    # solve only copies.  All columns are equal, and the transpose of the
+    # repeated row is Fortran-contiguous, so it reaches dtbtrs without a copy.
+    column = np.concatenate(([1.0], np.negative(theta, dtype=float)))
+    eps, _ = dtbtrs(column[None, :].repeat(n, axis=0).T, ar, uplo="L", diag="U")
+    return eps
 
 
 def _css(z, phi, theta, p):
     """CSS objective and its exact gradient in (phi, theta).
 
-    With a = [1, -theta], u = z / a(B) and v = eps / a(B) (zero pre-sample),
-    d eps_t / d phi_i = -u_{t-i} and d eps_t / d theta_j = v_{t-j} (Box,
-    Jenkins, Reinsel & Ljung, ch. 7), so both sums cost two more filter passes
-    whatever p + q is.
+    With A the unit lower triangular Toeplitz matrix of 1 - theta(B),
+    d eps_t / d phi_i = -(A^-1 z)_{t-i} and d eps_t / d theta_j =
+    (A^-1 eps)_{t-j} (Box, Jenkins, Reinsel & Ljung, ch. 7).  A commutes with
+    shifts, so with r the residuals from t = p on (zero before) and
+    w = A^-T r, dCSS/dphi_i = -2 sum w_t z_{t-i} and dCSS/dtheta_j =
+    2 sum w_t eps_{t-j}.  A^-T is A^-1 in reversed time, so w is one more
+    residual pass, run backwards: two passes per evaluation whatever p + q is.
     """
-    q = len(theta)
-    a = np.concatenate(([1.0], -np.asarray(theta, dtype=float)))
+    q, n = len(theta), len(z)
     with np.errstate(over="ignore", invalid="ignore"):
         eps = _arma_residuals(z, phi, theta)
         tail = eps[p:]
         css = float(tail @ tail)
-        u = lfilter([1.0], a, z)
-        v = lfilter([1.0], a, eps)
-        n = len(z)
-        grad = np.empty(p + q)
-        for i in range(1, p + 1):
-            grad[i - 1] = -2.0 * (tail @ u[p - i: n - i])
-        for j in range(1, q + 1):
-            k = max(p, j)
-            grad[p + j - 1] = 2.0 * (eps[k:] @ v[k - j: n - j])
+        r = np.concatenate((np.zeros(p), tail))
+        # Zero-padded so that correlating it with a length-n series gives
+        # sum_t w_t x_{t-k} for k = 0 .. max(p, q).
+        w = np.concatenate((_arma_residuals(r[::-1], (), theta)[::-1], np.zeros(max(p, q))))
+        grad = 2.0 * np.concatenate((-np.correlate(w[: n + p], z)[1:],
+                                     np.correlate(w[: n + q], eps)[1:]))
     # Explosive candidates overflow; report a huge finite value and a zero
     # gradient so the line search backs away instead of propagating NaN.
     if not (np.isfinite(css) and np.all(np.isfinite(grad))):

@@ -11,19 +11,20 @@ import contextlib
 import ctypes
 import datetime
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.signal import lfilter
 
 from . import arima as arima_mod
 from . import lstm as lstm_mod
 from .arima import ArimaOrder
 from .errors import (
     AnalysisError,
+    ComparisonError,
     ConfigurationError,
     DegenerateInputError,
     FitError,
@@ -167,10 +168,12 @@ def generate_synthetic(kind: str, n: int, params: dict | None = None, seed: int 
     elif kind == "ar1":
         phi = float(params.pop("phi", 0.6))
         sigma = float(params.pop("sigma", 0.01))
-        # x[0] = 0, x[t] = phi x[t-1] + shock[t]: the AR(1) filter 1 / (1 - phi B).
+        # x[0] = 0, x[t] = phi x[t-1] + shock[t] in Python floats: exactly one
+        # rounded multiply and one rounded add per step, which a BLAS solve
+        # does not promise (it may fuse them).
         shocks = rng.normal(0.0, sigma, n)
-        shocks[0] = 0.0
-        values = base + lfilter([1.0], [1.0, -phi], shocks)
+        ar1 = itertools.accumulate(shocks[1:].tolist(), lambda x, s: phi * x + s, initial=0.0)
+        values = base + np.fromiter(ar1, dtype=float, count=n)
     else:
         raise ConfigurationError(f"unknown synthetic kind {kind!r}")
     if params:
@@ -297,7 +300,13 @@ def cmd_compare(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig, out_dir: 
 
 
 def _exit_code(exc: BaseException) -> int:
-    """The documented exit code of an error that ends a command or fails a compare kind."""
+    """The documented exit code of an error that ends a command or fails a compare kind.
+
+    A compare whose kinds all failed exits as one whose kinds partly failed:
+    with the highest code among the kinds' errors.
+    """
+    if isinstance(exc, ComparisonError):
+        return max(map(_exit_code, exc.failures.values()))
     if isinstance(exc, IngestionError):
         return EXIT_INGESTION
     if isinstance(exc, (AnalysisError, DegenerateInputError, NumericalError)):

@@ -31,6 +31,14 @@ class IngestionError(NavcastError):
     """Input file missing or malformed; message carries the 1-based line number."""
 
 
+class ComparisonError(NavcastError):
+    """Every model kind of a comparison failed; `failures` maps each kind to its error."""
+
+    def __init__(self, message: str, failures: dict):
+        super().__init__(message)
+        self.failures = failures
+
+
 # What a fit may raise when its data or its numerics defeat it.  Code that
 # records a failed candidate or a failed model kind catches only these, so a
 # programming error still propagates.

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import arima as arima_mod
 from . import lstm as lstm_mod
-from .errors import FIT_FAILURES, ConfigurationError, DegenerateInputError
+from .errors import FIT_FAILURES, ComparisonError, ConfigurationError, DegenerateInputError
 from .lstm import LstmNetwork, TrainConfig
 from .metrics import MODEL_KINDS, build_report
 from .series import (
@@ -261,7 +261,8 @@ def compare_models(
     order search and every trailing-window refit, and the hybrid kind adds its
     residual correction to that run's forecasts.  If the arima kind fails (search,
     training fit or a refit), hybrid fails with the same exception without
-    running; lstm still runs.
+    running; lstm still runs.  When every kind fails, ComparisonError carries
+    each kind's exception.
     """
     cfg = cfg or TrainConfig()
     runs, failures = {}, {}
@@ -280,6 +281,6 @@ def compare_models(
             failures[kind] = exc
     if not runs:
         causes = "; ".join(f"{kind}: {failure_message(exc)}" for kind, exc in failures.items())
-        raise ConfigurationError(f"all three model evaluations failed ({causes})")
+        raise ComparisonError(f"all three model evaluations failed ({causes})", failures)
     report = build_report(runs.values())
     return CompareResult(runs=runs, report=report, failures=failures)

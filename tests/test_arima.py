@@ -326,7 +326,34 @@ class TestForecastOne:
             forecast_one(m, as_series([1.0, 2.0, 4.0]))
 
 
+def arma_recursion(z, phi, theta):
+    """The documented recursion, term by term, with zero pre-sample z and eps."""
+    eps = []
+    for t in range(len(z)):
+        e = z[t]
+        for i in range(1, min(len(phi), t) + 1):
+            e -= phi[i - 1] * z[t - i]
+        for j in range(1, min(len(theta), t) + 1):
+            e += theta[j - 1] * eps[t - j]
+        eps.append(e)
+    return np.array(eps)
+
+
 class TestResiduals:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_arma_residuals_follow_the_recursion(self, data):
+        p, q = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        phi = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=p, max_size=p))
+        # Partial autocorrelations inside (-1, 1) give an invertible theta(B).
+        theta = stationary_ar(data.draw(st.lists(st.floats(-0.9, 0.9), min_size=q, max_size=q)))
+        n = data.draw(st.integers(1, 300))
+        z = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=n)
+        got = arima._arma_residuals(z, phi, theta)
+        want = arma_recursion(z, phi, theta)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_noiseless_ar_process(self):
         # Deterministic zero-mean AR(2) recursion (sampled sinusoid over whole
         # periods): refitting recovers it and residuals vanish.

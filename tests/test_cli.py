@@ -3,6 +3,8 @@ import functools
 import importlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -409,6 +411,23 @@ class TestExitCodes:
         assert "window_L must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_failing_every_kind_exits_with_the_highest_code(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        def failing(*args, **kwargs):
+            raise NumericalError("stage failed")
+        monkeypatch.setattr(arima_mod, "adf_test", failing)  # fails arima, and so hybrid
+        monkeypatch.setattr(lstm_mod, "train", failing)
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 200, {"base": 10.0}, seed=0))
+        out = tmp_path / "o"
+        code = main(["compare", "--input", str(csv), "--out", str(out), "--epochs", "1",
+                     "--layers", "1", "--hidden", "4", "--window-m", "5"])
+        assert code == EXIT_ANALYSIS
+        err = capsys.readouterr().err
+        assert "all three model evaluations failed (" in err
+        assert err.count("NumericalError: stage failed") == 3
+        assert not out.exists()
+
     def test_a_search_that_chooses_nothing_names_the_first_failure(self, tmp_path, monkeypatch,
                                                                    capsys):
         # Every candidate's CSS overflows at this scale; ADF refuses such
@@ -507,6 +526,24 @@ class TestExitCodes:
         assert json.loads((out / "metrics.json").read_text())["failed"] == failed
         stdout = capsys.readouterr().out
         assert all(f"FAILED {kind}: {msg}\n" in stdout for kind, msg in failed.items())
+
+
+def test_the_cli_loads_neither_scipy_signal_nor_scipy_stats(tmp_path):
+    # A fresh interpreter, so that no other test's imports count.
+    csv = tmp_path / "s.csv"
+    write_series_csv(csv, generate_synthetic("ar1", 60, {"base": 10.0}, seed=0))
+    script = (
+        "import sys, navcast, navcast.cli\n"
+        f"assert navcast.cli.main(['fit-arima', '--input', {str(csv)!r}, "
+        f"'--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))\n"
+    )
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def openblas_thread_pools():
