@@ -17,7 +17,9 @@ Estimation conventions:
 The residual recursion eps = phi(B) z / (1 - theta(B)) is one FIR pass
 (`np.convolve`) and one unit lower triangular banded solve (LAPACK dtbtrs
 from scipy.linalg), so the module loads scipy.optimize and scipy.linalg but
-not scipy.signal, which would also load scipy.stats.
+not scipy.signal, which would also load scipy.stats.  Fits, residuals and
+forecasts all run it: the one-step forecast is the next value whose residual
+is zero (Box, Jenkins, Reinsel & Ljung, ch. 5).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from scipy.optimize import minimize
 
 from . import _doc
 from .errors import FIT_FAILURES, AnalysisError, DegenerateInputError, FitError
-from .series import TimeSeries, adf_test, difference
+from .series import TimeSeries, _autocovariances, adf_test, difference
 
 MAX_ITER = 500
 GRAD_TOL = 1e-8
@@ -65,6 +67,10 @@ class ArimaModel:
     sigma2: float
     in_sample_residuals: np.ndarray
     n_obs: int
+    # Whether the fit that made this model converged: L-BFGS-B reported
+    # success and left its start point (closed-form fits always do).  Not
+    # saved and not compared, so a model read back reports True.
+    converged: bool = field(default=True, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ar_coeffs", np.array(self.ar_coeffs, dtype=float))
@@ -81,12 +87,6 @@ class ArimaModel:
     @property
     def ar_stationary(self) -> bool:
         return _ar_roots_outside_unit_circle(self.ar_coeffs)
-
-    # Whether the fit that made this model converged: L-BFGS-B reported
-    # success and left its start point (closed-form fits always do).  Set on
-    # the instance by `fit`; a plain class attribute rather than a field, so it
-    # is neither saved nor compared, and a model read back reports True.
-    converged = True
 
 
 @dataclass(frozen=True)
@@ -146,9 +146,8 @@ def _css(z, phi, theta, p):
 
 def _yule_walker_ar(z, p):
     """Yule-Walker AR(p) start values from the biased autocovariances."""
-    n = len(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = np.array([float(np.dot(z[: n - k], z[k:])) / n for k in range(p + 1)])
+        c = _autocovariances(z, p)
     if c[0] <= 0:
         return np.zeros(p)
     try:
@@ -222,8 +221,8 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
         sigma2=css / len(z),
         in_sample_residuals=eps,
         n_obs=n,
+        converged=converged,
     )
-    object.__setattr__(model, "converged", converged)
     if not model.ar_stationary:
         warnings.warn(f"AR polynomial of ARIMA{order} fit is non-stationary")
     return model
@@ -294,34 +293,23 @@ def _fit_or_search(series: TimeSeries, order) -> ArimaModel:
     return fit(series, order)
 
 
-def _innovations(model: ArimaModel, series: TimeSeries):
-    """The differenced, centered series z and its one-step residuals eps."""
-    z = difference(series, model.order.d) - model.intercept
-    return z, _arma_residuals(z, model.ar_coeffs, model.ma_coeffs)
-
-
 def forecast_one(model: ArimaModel, history: TimeSeries) -> float:
-    """One-step-ahead point forecast at the original (undifferenced) level."""
+    """One-step-ahead point forecast at the original (undifferenced) level.
+
+    The forecast is the next value whose one-step residual is zero.  Extend
+    the history by any value x: its d-th difference adds x with coefficient 1
+    and no other term of the last residual depends on x, so that residual is
+    x minus the forecast.  x is the last observed value.
+    """
     p, d, q = model.order
     # The recursion reads the last p values and the last q residuals of z.
     if len(history) < d + max(p + 1, q):
         raise DegenerateInputError(
             f"history of length {len(history)} too short for ARIMA{model.order} forecast"
         )
-    z, eps = _innovations(model, history)
-    zhat = 0.0
-    for i in range(1, p + 1):
-        zhat += model.ar_coeffs[i - 1] * z[-i]
-    for j in range(1, q + 1):
-        zhat -= model.ma_coeffs[j - 1] * eps[-j]
-    # Integrate back up: each lower difference level adds its own last value.
-    levels = [history.values]
-    for _ in range(d):
-        levels.append(np.diff(levels[-1]))
-    yhat = model.intercept + zhat
-    for k in range(d - 1, -1, -1):
-        yhat = levels[k][-1] + yhat
-    return float(yhat)
+    y = np.append(history.values, history.values[-1])
+    z = np.diff(y, d) - model.intercept
+    return float(y[-1] - _arma_residuals(z, model.ar_coeffs, model.ma_coeffs)[-1])
 
 
 def residuals(model: ArimaModel, series: TimeSeries) -> np.ndarray:
@@ -333,7 +321,8 @@ def residuals(model: ArimaModel, series: TimeSeries) -> np.ndarray:
     p, d, q = model.order
     if len(series) < p + d + 1:
         raise DegenerateInputError("series too short for residual extraction")
-    return _innovations(model, series)[1][p:]
+    z = difference(series, d) - model.intercept
+    return _arma_residuals(z, model.ar_coeffs, model.ma_coeffs)[p:]
 
 
 # ---------------------------------------------------------------------------

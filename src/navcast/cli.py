@@ -106,7 +106,10 @@ def ingest_csv(path) -> TimeSeries:
     p = Path(path)
     if not p.is_file():
         raise IngestionError(f"input file not found: {p}")
-    lines = p.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = p.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{p}: byte {exc.start}: not UTF-8 text") from None
     if not lines:
         raise IngestionError(f"{p}: empty file")
     if lines[0].strip() != "date,nav":
@@ -196,8 +199,10 @@ def _adf_payload(result):
 
 
 def cmd_analyze(series: TimeSeries, out_dir: Path, max_lag: int = 20) -> dict:
-    """Stationarity and correlogram artifacts: adf.json, acf.csv, pacf.csv, diff.csv."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Stationarity and correlogram artifacts: adf.json, acf.csv, pacf.csv, diff.csv.
+
+    All are computed before `out_dir` is created, so a failure writes nothing.
+    """
     adf = {}
     stationary_d = None
     for d in range(3):
@@ -206,17 +211,18 @@ def cmd_analyze(series: TimeSeries, out_dir: Path, max_lag: int = 20) -> dict:
         adf[str(d)] = _adf_payload(res)
         if stationary_d is None and res.is_stationary_5pct:
             stationary_d = d
-    (out_dir / "adf.json").write_text(json.dumps(adf, indent=2) + "\n", encoding="utf-8")
-
     d_used = stationary_d if stationary_d is not None else 1
     w = difference(series, d_used)
-    for name, points in (("acf.csv", acf(w, max_lag)), ("pacf.csv", pacf(w, max_lag))):
+    correlograms = (("acf.csv", acf(w, max_lag)), ("pacf.csv", pacf(w, max_lag)))
+    diff1 = difference(series, 1)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "adf.json").write_text(json.dumps(adf, indent=2) + "\n", encoding="utf-8")
+    for name, points in correlograms:
         with open(out_dir / name, "w", encoding="utf-8") as fh:
             fh.write("lag,value,confidence_bound\n")
             for pt in points:
                 fh.write(f"{pt.lag},{float(pt.value)!r},{float(pt.confidence_bound)!r}\n")
-
-    diff1 = difference(series, 1)
     with open(out_dir / "diff.csv", "w", encoding="utf-8") as fh:
         fh.write("date,value\n")
         for ts, v in zip(series.timestamps[1:], diff1):

@@ -141,6 +141,12 @@ def difference(series: TimeSeries, d: int) -> np.ndarray:
     return out
 
 
+def _autocovariances(x, max_lag: int) -> np.ndarray:
+    """Biased autocovariances sum_t x_t x_{t+k} / n of x about zero, k = 0..max_lag."""
+    n = len(x)
+    return np.array([np.dot(x[: n - k], x[k:]) for k in range(max_lag + 1)]) / n
+
+
 def acf(values, max_lag: int) -> list[CorrelogramPoint]:
     """Sample autocorrelations for lags 1..max_lag.
 
@@ -149,22 +155,15 @@ def acf(values, max_lag: int) -> list[CorrelogramPoint]:
     """
     x = np.asarray(values, dtype=float)
     n = len(x)
-    if max_lag < 0 or n <= max_lag:
+    if max_lag < 0:
+        raise ConfigurationError(f"max_lag must be non-negative, got {max_lag}")
+    if n <= max_lag:
         raise DegenerateInputError(f"need more than {max_lag} observations, got {n}")
-    x = x - x.mean()
-    c0 = float(np.dot(x, x)) / n
-    if c0 == 0.0:
+    c = _autocovariances(x - x.mean(), max_lag)
+    if c[0] == 0.0:
         raise DegenerateInputError("zero-variance series has no correlogram")
     bound = 1.96 / np.sqrt(n)
-    points = []
-    for k in range(1, max_lag + 1):
-        ck = float(np.dot(x[:-k], x[k:])) / n
-        points.append(CorrelogramPoint(k, ck / c0, bound))
-    return points
-
-
-def _acf_values(values, max_lag):
-    return np.array([p.value for p in acf(values, max_lag)])
+    return [CorrelogramPoint(k, float(c[k] / c[0]), bound) for k in range(1, max_lag + 1)]
 
 
 def pacf(values, max_lag: int) -> list[CorrelogramPoint]:
@@ -173,7 +172,7 @@ def pacf(values, max_lag: int) -> list[CorrelogramPoint]:
     n = len(x)
     if max_lag >= n / 2:
         raise DegenerateInputError("max_lag must be below half the series length")
-    rho = _acf_values(x, max_lag)
+    rho = np.array([pt.value for pt in acf(x, max_lag)])
     bound = 1.96 / np.sqrt(n)
     phi_prev = np.zeros(0)
     points = []

@@ -29,8 +29,12 @@ def stationary_ar(pacf):
 
 
 def assert_same_model(a, b):
-    """Every field bitwise equal (so -0.0 and 0.0 differ), plus ar_stationary."""
-    for f in fields(ArimaModel):
+    """Every compared field bitwise equal (so -0.0 and 0.0 differ), plus ar_stationary.
+
+    `converged` is not compared: it describes the fit, not the model, and is
+    not saved.
+    """
+    for f in (f for f in fields(ArimaModel) if f.compare):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "order":
             assert x == y
@@ -190,6 +194,10 @@ class TestSelectOrder:
         eps = m.in_sample_residuals
         assert float(eps @ eps) == pytest.approx(z @ z, rel=1e-12)
         assert m.converged is False
+        # The flag is not saved: the model reads back as converged and equal.
+        read_back = deserialize(serialize(m))
+        assert read_back.converged is True
+        assert_same_model(read_back, m)
         assert fit(s, ArimaOrder(1, 0, 1)).converged is True
         report = select_order(s, ArimaOrder(1, 0, 5))
         flags = {order: ok for order, _, ok in report.candidates}
@@ -313,6 +321,23 @@ class TestForecastOne:
         m2 = fit(shifted, ArimaOrder(1, 1, 1))
         assert forecast_one(m2, shifted) == pytest.approx(forecast_one(m, s) + 5.0, abs=1e-9)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_sums_integrated_back_up(self, data):
+        p, d, q = (data.draw(st.integers(0, cap)) for cap in (5, 2, 5))
+        # Partial autocorrelations inside (-1, 1) give a stationary phi(B)
+        # and an invertible theta(B).
+        def partials(k):
+            return data.draw(st.lists(st.floats(-0.9, 0.9), min_size=k, max_size=k))
+        phi, theta = stationary_ar(partials(p)), stationary_ar(partials(q))
+        n = data.draw(st.integers(d + max(p + 1, q), 120))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        history = as_series(data.draw(st.floats(-100.0, 100.0)) + rng.normal(size=n).cumsum())
+        model = ArimaModel(ArimaOrder(p, d, q), phi, theta, data.draw(st.floats(-1.0, 1.0)),
+                           1.0, [0.0], n)
+        error = forecast_one(model, history) - forecast_by_sums(model, history)
+        assert abs(error) <= 1e-12 * np.max(np.abs(history.values))
+
     def test_insufficient_history(self):
         s = as_series(simulate_ar1(0.5, 100, seed=12))
         m = fit(s, ArimaOrder(3, 0, 0))
@@ -337,6 +362,26 @@ def arma_recursion(z, phi, theta):
             e += theta[j - 1] * eps[t - j]
         eps.append(e)
     return np.array(eps)
+
+
+def forecast_by_sums(model, history):
+    """The forecast as AR and MA sums on the differenced series, integrated back up."""
+    p, d, q = model.order
+    levels = [history.values]
+    for _ in range(d):
+        levels.append(np.diff(levels[-1]))
+    z = levels[d] - model.intercept
+    eps = arma_recursion(z, model.ar_coeffs, model.ma_coeffs)
+    zhat = 0.0
+    for i in range(1, p + 1):
+        zhat += model.ar_coeffs[i - 1] * z[-i]
+    for j in range(1, q + 1):
+        zhat -= model.ma_coeffs[j - 1] * eps[-j]
+    # Each lower difference level adds its own last value.
+    yhat = model.intercept + zhat
+    for k in range(d - 1, -1, -1):
+        yhat = levels[k][-1] + yhat
+    return yhat
 
 
 class TestResiduals:

@@ -86,6 +86,12 @@ class TestIngestCsv:
         with pytest.raises(IngestionError):
             ingest_csv(self.write(tmp_path, ""))
 
+    def test_bytes_that_are_not_utf8_name_the_file_and_offset(self, tmp_path):
+        p = tmp_path / "in.csv"
+        p.write_bytes(b"date,nav\n2021-07-29,1.5\n\xff\xfe\n")
+        with pytest.raises(IngestionError, match=r"in\.csv: byte 24: not UTF-8"):
+            ingest_csv(p)
+
     def test_paper_scale_file(self, tmp_path):
         s = generate_synthetic("random-walk", 1260, {"sigma": 0.02}, seed=0)
         p = tmp_path / "nav.csv"
@@ -177,6 +183,18 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--input", str(csv), "--out", str(out)]) == EXIT_OK
         adf = json.loads((out / "adf.json").read_text())
         assert adf["0"]["is_stationary_5pct"] is True
+
+    @pytest.mark.parametrize("max_lag, code", [("-1", EXIT_USAGE), ("150", EXIT_ANALYSIS)])
+    def test_a_failing_correlogram_writes_nothing(self, tmp_path, capsys, max_lag, code):
+        # -1 is a usage error; 150 lags of a 199-point differenced series
+        # pass the ACF but not the PACF's half-length limit.
+        csv = tmp_path / "rw.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 200, {"sigma": 0.02}, seed=8))
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(csv), "--out", str(out),
+                     "--max-lag", max_lag]) == code
+        assert "max_lag" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompareCommand:

@@ -78,6 +78,11 @@ class TestAcf:
         with pytest.raises(DegenerateInputError):
             acf([3.0] * 10, 2)
 
+    @pytest.mark.parametrize("correlogram", [acf, pacf])
+    def test_negative_max_lag_is_a_configuration_error(self, correlogram):
+        with pytest.raises(ConfigurationError, match="max_lag"):
+            correlogram(simulate_ar1(0.5, 50, seed=0), -1)
+
 
 class TestPacf:
     def test_lag1_equals_acf_lag1(self):
