@@ -7,18 +7,15 @@ Exit codes: 0 success, 2 usage/configuration, 3 ingestion, 4 analysis,
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
 import datetime
-import functools
 import itertools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
+from . import _blas
 from . import arima as arima_mod
 from . import lstm as lstm_mod
 from .arima import ArimaOrder
@@ -48,53 +45,6 @@ SYNTH_START_DATE = datetime.date(2016, 6, 6)
 # Each training flag and the TrainConfig field it sets.
 TRAIN_FLAGS = (("--lr", "learning_rate"), ("--epochs", "epochs"), ("--batch", "batch_size"),
                ("--layers", "layers"), ("--hidden", "hidden_dim"), ("--window-m", "window_m"))
-
-
-# ---------------------------------------------------------------------------
-# BLAS threads
-
-
-@functools.cache
-def _openblas_pools() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS pool that numpy and scipy load.
-
-    Each wheel bundles its own OpenBLAS, with its own pool; the suffix is that
-    library's symbol suffix.  A package whose library or symbols are absent
-    (MKL, a system BLAS) adds no pool.
-    """
-    pools = []
-    for package, suffix in ((np, "64_"), (scipy, "")):
-        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        for lib in sorted(libs.glob(f"libscipy_openblas{suffix}-*.so*")):
-            try:
-                handle = ctypes.CDLL(str(lib))
-                get = getattr(handle, f"scipy_openblas_get_num_threads{suffix}")
-                set_ = getattr(handle, f"scipy_openblas_set_num_threads{suffix}")
-            except (OSError, AttributeError):
-                continue
-            get.restype, get.argtypes = ctypes.c_int, []
-            set_.restype, set_.argtypes = None, [ctypes.c_int]
-            pools.append((get, set_))
-            break
-    return tuple(pools)
-
-
-@contextlib.contextmanager
-def _single_threaded_blas():
-    """Run the body with every OpenBLAS pool at one thread, then restore each count.
-
-    The CLI's linear algebra is many small solves, for which waking idle BLAS
-    threads costs more than they gain.
-    """
-    pools = _openblas_pools()
-    saved = [get() for get, _ in pools]
-    for _, set_threads in pools:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (_, set_threads), count in zip(pools, saved):
-            set_threads(count)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    with _single_threaded_blas():
+    with _blas.single_threaded():
         return _main(argv)
 
 

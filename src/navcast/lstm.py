@@ -4,6 +4,14 @@ Forward pass uses the standard three-gate cell (sigmoid forget/input/output
 gates over the concatenation [h_prev, x], tanh candidate); gradients are exact
 backpropagation through time over the full window, no truncation.  Training is
 mini-batch Adam with a seeded shuffle, fully deterministic for a fixed seed.
+
+The kernel is gate-major: every per-step array is (rows, B) with the batch
+last.  A layer's four gates are one (4H, H + d_in + 1) matrix of [W | b] rows
+in the order f, i, o, c_tilde, so each gate is a contiguous block of rows and
+a_t = [h_{t-1}; x_t; 1] gives all four pre-activations in one GEMM.  The
+backward pass gets the weight and bias gradients from one GEMM per step,
+dz @ a_t^T, and the input gradient from W^T @ dz; the split back into the
+eight LstmCellParams fields happens once per layer.
 """
 
 from __future__ import annotations
@@ -12,13 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _doc
+from . import _blas, _doc
 from .errors import ConfigurationError, DegenerateInputError, FitError, NumericalError
 from .series import ScaleParams, minmax_scale
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -59,6 +63,9 @@ class LstmCellParams:
 
 
 PARAM_FIELDS = ("W_f", "W_i", "W_c", "W_o", "b_f", "b_i", "b_c", "b_o")
+# Row-block order of the stacked gate matrix: the three sigmoid gates first,
+# so one in-place sigmoid covers rows :3H, then the tanh candidate.
+GATES = ("f", "i", "o", "c")
 
 
 @dataclass
@@ -157,58 +164,100 @@ def init_network(
 
 def cell_forward(params: LstmCellParams, x: np.ndarray, prev: LstmState) -> LstmState:
     """Single-step cell update; x is (input_dim,) and prev holds (hidden_dim,)."""
-    a = np.concatenate((prev.h, np.atleast_1d(np.asarray(x, dtype=float))))
-    if a.shape[0] != params.W_f.shape[1]:
+    a = np.concatenate((prev.h, np.atleast_1d(np.asarray(x, dtype=float)), [1.0]))
+    if a.shape[0] != params.W_f.shape[1] + 1:
         raise ConfigurationError(
-            f"concatenated input has length {a.shape[0]}, expected {params.W_f.shape[1]}"
+            f"concatenated input has length {a.shape[0] - 1}, expected {params.W_f.shape[1]}"
         )
-    *_, C, _, h = _cell_step(params, a[None, :], prev.C)
+    H = params.hidden_dim
+    C, tC, h = np.empty((3, H, 1))
+    _cell_step(_stacked(params), a[:, None], prev.C[:, None], np.empty((4 * H, 1)), C, tC, h)
     if not (np.all(np.isfinite(C)) and np.all(np.isfinite(h))):
         raise NumericalError("non-finite cell state")
-    return LstmState(h=h[0], C=C[0])
+    return LstmState(h=h[:, 0], C=C[:, 0])
 
 
-def _cell_step(layer: LstmCellParams, a: np.ndarray, C: np.ndarray):
-    """Cell update on rows a = [h_prev, x] of shape (B, H + d_in) and state C.
+def _stacked(layer: LstmCellParams) -> np.ndarray:
+    """The layer's four gates as one (4H, H + d_in + 1) matrix of [W | b] rows,
+    in GATES order."""
+    H, K = layer.W_f.shape
+    W = np.empty((4 * H, K + 1))
+    for k, gate in enumerate(GATES):
+        W[k * H:(k + 1) * H, :K] = getattr(layer, "W_" + gate)
+        W[k * H:(k + 1) * H, K] = getattr(layer, "b_" + gate)
+    return W
 
-    Returns (f, i, c_tilde, o, C_new, tanh(C_new), h), each (B, H).
+
+def _unstacked(gW: np.ndarray) -> LstmCellParams:
+    """Split a (4H, H + d_in + 1) [W | b] matrix in GATES order into the eight fields."""
+    H = gW.shape[0] // 4
+    fields = {}
+    for k, gate in enumerate(GATES):
+        rows = gW[k * H:(k + 1) * H]
+        fields["W_" + gate] = rows[:, :-1].copy()
+        fields["b_" + gate] = rows[:, -1].copy()
+    return LstmCellParams(**fields)
+
+
+def _cell_step(W, a, C_prev, g, C, tC, h):
+    """One cell update of every column of a = [h_prev; x; 1] (H + d_in + 1, B).
+
+    W is the stacked (4H, H + d_in + 1) gate matrix and C_prev the (H, B)
+    state.  Writes the activated gates f, i, o, c_tilde into g (4H, B) and
+    the new state, its tanh and the new hidden output into C, tC and h.
     """
-    f = _sigmoid(a @ layer.W_f.T + layer.b_f)
-    i = _sigmoid(a @ layer.W_i.T + layer.b_i)
-    c_tilde = np.tanh(a @ layer.W_c.T + layer.b_c)
-    o = _sigmoid(a @ layer.W_o.T + layer.b_o)
-    C_new = f * C + i * c_tilde
-    tC = np.tanh(C_new)
-    return f, i, c_tilde, o, C_new, tC, o * tC
+    H = C_prev.shape[0]
+    np.matmul(W, a, out=g)
+    sig = g[:3 * H]  # 1 / (1 + exp(-z)), in place
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.reciprocal(sig, out=sig)
+    c_tilde = g[3 * H:]
+    np.tanh(c_tilde, out=c_tilde)
+    np.multiply(g[:H], C_prev, out=C)
+    C += g[H:2 * H] * c_tilde
+    np.tanh(C, out=tC)
+    np.multiply(g[2 * H:3 * H], tC, out=h)
 
 
 def _forward_batch(net: LstmNetwork, X: np.ndarray, want_cache: bool = False):
     """Batched forward over windows X of shape (B, m); scalar inputs per step.
 
-    Returns predictions (B,) and, when requested, the per-layer per-step cache
-    needed for backpropagation.
+    Every per-step array is (rows, B), a_t = [h_{t-1}; x_t; 1] included.
+    Each step allocates its own small arrays, which the allocator recycles
+    from call to call; one (m, rows, B) block per layer would be returned to
+    the OS and page-faulted in again on every call.  Returns predictions (B,)
+    and, when requested, each layer's stacked matrix with its per-step
+    (a_t, gates, C_{t-1}, tanh(C_t)), and the top layer's last output, which
+    backpropagation needs.
     """
     B, m = X.shape
+    xs = [X[:, t] for t in range(m)]
     cache = []
-    inputs = X[:, :, None]  # (B, m, 1)
     for layer in net.layers:
         H = layer.hidden_dim
-        h = np.zeros((B, H))
-        C = np.zeros((B, H))
-        steps = []
-        outputs = np.empty((B, m, H))
-        for t in range(m):
-            a = np.concatenate((h, inputs[:, t, :]), axis=1)  # (B, H + d_in)
-            f, i, c_tilde, o, C_new, tC, h = _cell_step(layer, a, C)
+        W = _stacked(layer)
+        C = np.zeros((H, B))
+        h = np.zeros((H, B))
+        steps, hs = [], []
+        for x in xs:
+            a = np.empty((W.shape[1], B))
+            a[:H] = h
+            a[H:-1] = x
+            a[-1] = 1.0
+            g = np.empty((4 * H, B))
+            C_new, tC, h = np.empty((3, H, B))
+            _cell_step(W, a, C, g, C_new, tC, h)
             if want_cache:
-                steps.append((a, f, i, c_tilde, o, C, tC))
+                steps.append((a, g, C, tC))
+            hs.append(h)
             C = C_new
-            outputs[:, t, :] = h
-        cache.append(steps)
-        inputs = outputs
-    preds = outputs[:, -1, :] @ net.head_w + net.head_b
+        cache.append((W, steps))
+        xs = hs
+    preds = net.head_w @ h + net.head_b
     if want_cache:
-        return preds, (cache, outputs)
+        return preds, (cache, h)
     return preds
 
 
@@ -230,61 +279,50 @@ def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
     if X.ndim != 2 or len(X) == 0:
         raise ConfigurationError("batch must be a nonempty (B, m) array")
     B, m = X.shape
-    preds, (cache, top_out) = _forward_batch(net, X, want_cache=True)
+    preds, (cache, h_last) = _forward_batch(net, X, want_cache=True)
     err = preds - y
     loss = float(err @ err) / B
 
     d_pred = 2.0 * err / B  # (B,)
-    g_head_w = top_out[:, -1, :].T @ d_pred
+    g_head_w = h_last @ d_pred
     g_head_b = float(d_pred.sum())
 
-    # Gradient w.r.t. every layer's output sequence, accumulated top-down.
-    d_out = np.zeros((B, m, net.layers[-1].hidden_dim))
-    d_out[:, -1, :] = d_pred[:, None] * net.head_w
+    # Gradient w.r.t. every layer's output at each step, top-down.
+    d_out = [np.zeros_like(h_last)] * (m - 1) + [np.outer(net.head_w, d_pred)]
 
     grads = []
     for li in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[li]
-        steps = cache[li]
-        H = layer.hidden_dim
-        d_in_dim = layer.input_dim
-        g = layer.zeros_like()
-        dh_next = np.zeros((B, H))
-        dC_next = np.zeros((B, H))
-        d_inputs = np.zeros((B, m, d_in_dim))
+        W, steps = cache[li]
+        H = net.layers[li].hidden_dim
+        W_in_T = W[:, :-1].T  # maps gate gradients back onto [h_prev; x]
+        gW = np.zeros_like(W)  # its last column is the bias gradient
+        dz = np.empty((4 * H, B))
+        dz_sig, dz_c = dz[:3 * H], dz[3 * H:]
+        dh_next = np.zeros((H, B))
+        dC_next = np.zeros((H, B))
+        d_inputs = [None] * m
         for t in range(m - 1, -1, -1):
-            a, f, i, c_tilde, o, C_prev, tC = steps[t]
-            dh = d_out[:, t, :] + dh_next
-            do = dh * tC
+            a, g, C_prev, tC = steps[t]
+            f, i, o, c_tilde = g[:H], g[H:2 * H], g[2 * H:3 * H], g[3 * H:]
+            dh = d_out[t] + dh_next
             dC = dC_next + dh * o * (1.0 - tC * tC)
-            df = dC * C_prev
-            di = dC * c_tilde
-            dct = dC * i
-            dz_f = df * f * (1.0 - f)
-            dz_i = di * i * (1.0 - i)
-            dz_c = dct * (1.0 - c_tilde * c_tilde)
-            dz_o = do * o * (1.0 - o)
-            g.W_f += dz_f.T @ a
-            g.W_i += dz_i.T @ a
-            g.W_c += dz_c.T @ a
-            g.W_o += dz_o.T @ a
-            g.b_f += dz_f.sum(axis=0)
-            g.b_i += dz_i.sum(axis=0)
-            g.b_c += dz_c.sum(axis=0)
-            g.b_o += dz_o.sum(axis=0)
-            da = (
-                dz_f @ layer.W_f + dz_i @ layer.W_i
-                + dz_c @ layer.W_c + dz_o @ layer.W_o
-            )
-            dh_next = da[:, :H]
-            d_inputs[:, t, :] = da[:, H:]
+            np.multiply(dC, C_prev, out=dz[:H])
+            np.multiply(dC, c_tilde, out=dz[H:2 * H])
+            np.multiply(dh, tC, out=dz[2 * H:3 * H])
+            dz_sig *= g[:3 * H] * (1.0 - g[:3 * H])
+            np.multiply(dC, i, out=dz_c)
+            dz_c *= 1.0 - c_tilde * c_tilde
+            gW += dz @ a.T
+            da = W_in_T @ dz
+            dh_next = da[:H]
+            d_inputs[t] = da[H:]
             dC_next = dC * f
+        layer_grads = _unstacked(gW)
         for name in PARAM_FIELDS:
-            if not np.all(np.isfinite(getattr(g, name))):
+            if not np.all(np.isfinite(getattr(layer_grads, name))):
                 raise FitError(f"non-finite gradient in layer {li} {name}")
-        grads.append(g)
-        if li > 0:
-            d_out = d_inputs
+        grads.append(layer_grads)
+        d_out = d_inputs
     grads.reverse()
     return LstmNetwork(layers=grads, head_w=g_head_w, head_b=g_head_b), loss
 
@@ -307,17 +345,19 @@ class _Adam:
         self.m = {}
         self.v = {}
 
-    def step(self, params: list, grads: list):
-        """Update each array of params in place; moments are keyed by position."""
+    def step(self, grads: list) -> list:
+        """The update to subtract from each parameter; moments are keyed by position."""
         self.t += 1
-        for key, (param, g) in enumerate(zip(params, grads)):
+        updates = []
+        for key, g in enumerate(grads):
             m = self.m.get(key, 0.0) * self.b1 + (1 - self.b1) * g
             v = self.v.get(key, 0.0) * self.b2 + (1 - self.b2) * g * g
             self.m[key] = m
             self.v[key] = v
             mhat = m / (1 - self.b1 ** self.t)
             vhat = v / (1 - self.b2 ** self.t)
-            param -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            updates.append(self.lr * mhat / (np.sqrt(vhat) + self.eps))
+        return updates
 
 
 def _arrays(net: LstmNetwork) -> list:
@@ -333,9 +373,12 @@ def train(
 ) -> TrainResult:
     """Mini-batch Adam on MSE with a per-epoch seeded shuffle.
 
-    The head bias is updated alongside the weights.  Validation loss, when a
-    validation set is given, is recorded per epoch for reporting only; the
-    returned network always carries the last-epoch weights.
+    One Adam rule updates every parameter, the head bias included.
+    Validation loss, when a validation set is given, is recorded per epoch
+    for reporting only; the returned network always carries the last-epoch
+    weights.  Training runs with every OpenBLAS pool at one thread
+    (navcast._blas): its GEMMs gain nothing from a second thread and, on a
+    busy machine, wait for one.
     """
     n = len(data.inputs)
     if n == 0:
@@ -345,34 +388,26 @@ def train(
     opt = _Adam(cfg.learning_rate)
     train_losses = np.empty(cfg.epochs)
     val_losses = np.empty(cfg.epochs) if val_data is not None else None
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        sq_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start: start + cfg.batch_size]
-            grads, loss = bptt_gradients(net, data.inputs[idx], data.targets[idx])
-            sq_sum += loss * len(idx)
-            opt.step(_arrays(net), _arrays(grads))
-            net.head_b -= opt.lr * _adam_scalar(opt, "head_b", grads.head_b)
-        train_losses[epoch] = sq_sum / n
-        if val_data is not None:
-            vp = _forward_batch(net, val_data.inputs)
-            verr = vp - val_data.targets
-            val_losses[epoch] = float(verr @ verr) / len(verr)
+    with _blas.single_threaded():
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            sq_sum = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start: start + cfg.batch_size]
+                grads, loss = bptt_gradients(net, data.inputs[idx], data.targets[idx])
+                sq_sum += loss * len(idx)
+                *updates, head_b_update = opt.step(_arrays(grads) + [grads.head_b])
+                for param, update in zip(_arrays(net), updates):
+                    param -= update
+                net.head_b -= float(head_b_update)
+            train_losses[epoch] = sq_sum / n
+            if val_data is not None:
+                vp = _forward_batch(net, val_data.inputs)
+                verr = vp - val_data.targets
+                val_losses[epoch] = float(verr @ verr) / len(verr)
     best_val = int(np.argmin(val_losses)) if val_losses is not None else None
     return TrainResult(net=net, train_losses=train_losses, val_losses=val_losses,
                        best_val_epoch=best_val)
-
-
-def _adam_scalar(opt: _Adam, key, g):
-    """Adam update direction for a scalar parameter, sharing the step counter."""
-    m = opt.m.get(key, 0.0) * opt.b1 + (1 - opt.b1) * g
-    v = opt.v.get(key, 0.0) * opt.b2 + (1 - opt.b2) * g * g
-    opt.m[key] = m
-    opt.v[key] = v
-    mhat = m / (1 - opt.b1 ** opt.t)
-    vhat = v / (1 - opt.b2 ** opt.t)
-    return mhat / (np.sqrt(vhat) + opt.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from navcast.cli import (
     main,
     write_series_csv,
 )
+import navcast._blas as blas_mod
 import navcast.arima as arima_mod
 import navcast.cli as cli_mod
 import navcast.lstm as lstm_mod
@@ -38,7 +39,7 @@ from navcast.errors import (
     NumericalError,
 )
 from navcast.hybrid import failure_message
-from navcast.series import SplitSpec, TimeSeries, acf
+from navcast.series import SplitSpec, TimeSeries, acf, fit_scale
 
 
 class TestIngestCsv:
@@ -650,6 +651,24 @@ class TestBlasThreads:
                   "--order", "0,1,0"])
         assert counts() == before
 
+    def test_library_training_runs_on_one_thread_and_restores_the_counts(self, counts,
+                                                                          monkeypatch):
+        original, seen = lstm_mod.bptt_gradients, []
+
+        def recording_bptt(*args, **kwargs):
+            seen.append(counts())
+            return original(*args, **kwargs)
+        monkeypatch.setattr(lstm_mod, "bptt_gradients", recording_bptt)
+        before = counts()
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=40)
+        data = lstm_mod.make_windows(values, 5, fit_scale(values))
+        net = lstm_mod.init_network(1, 4, 1, rng)
+        lstm_mod.train(net, data, lstm_mod.TrainConfig(epochs=2, batch_size=16, layers=1,
+                                                       hidden_dim=4, window_m=5))
+        assert seen and all(c == [1] * len(c) for c in seen), seen
+        assert counts() == before
+
     def test_import_sets_no_thread_count(self, counts):
         before = counts()
         importlib.reload(cli_mod)
@@ -659,11 +678,11 @@ class TestBlasThreads:
     def test_without_openblas_fit_arima_writes_the_same_bytes(self, csv, tmp_path,
                                                               monkeypatch, cdll):
         assert main(["fit-arima", "--input", str(csv), "--out", str(tmp_path / "blas")]) == EXIT_OK
-        monkeypatch.setattr(cli_mod, "_openblas_pools",
-                            functools.cache(cli_mod._openblas_pools.__wrapped__))
+        monkeypatch.setattr(blas_mod, "openblas_pools",
+                            functools.cache(blas_mod.openblas_pools.__wrapped__))
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         assert main(["fit-arima", "--input", str(csv), "--out", str(tmp_path / "none")]) == EXIT_OK
-        assert cli_mod._openblas_pools() == ()
+        assert blas_mod.openblas_pools() == ()
         assert ((tmp_path / "none" / "models" / "arima.txt").read_bytes()
                 == (tmp_path / "blas" / "models" / "arima.txt").read_bytes())
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navcast.errors import ConfigurationError, DegenerateInputError
+from navcast.errors import ConfigurationError, DegenerateInputError, FitError
 from navcast.lstm import (
+    LstmCellParams,
+    LstmNetwork,
     LstmState,
     PARAM_FIELDS,
     TrainConfig,
@@ -40,7 +42,6 @@ def init_random_head(hidden_dim, n_layers, rng):
 
 
 def scalar_cell(wf=1.0, wi=1.0, wc=1.0, wo=1.0, bf=0.0, bi=0.0, bc=0.0, bo=0.0):
-    from navcast.lstm import LstmCellParams
     return LstmCellParams(
         W_f=np.full((1, 2), wf), W_i=np.full((1, 2), wi),
         W_c=np.full((1, 2), wc), W_o=np.full((1, 2), wo),
@@ -51,6 +52,33 @@ def scalar_cell(wf=1.0, wi=1.0, wc=1.0, wo=1.0, bf=0.0, bi=0.0, bc=0.0, bo=0.0):
 
 def zero_state(h=1):
     return LstmState(h=np.zeros(h), C=np.zeros(h))
+
+
+def random_cell(hidden, d_in, rng):
+    """A cell whose eight weight and bias arrays are drawn independently."""
+    return LstmCellParams(**{
+        name: rng.normal(size=(hidden, hidden + d_in) if name.startswith("W") else hidden)
+        for name in PARAM_FIELDS
+    })
+
+
+def cell_by_gates(params, x, prev):
+    """Reference cell update: each unit's four gates from their own weights,
+    in scalar math."""
+    a = [*prev.h, *x]
+
+    def pre(W, b, j):
+        return sum(W[j, k] * a[k] for k in range(len(a))) + b[j]
+
+    h, C = [], []
+    for j in range(params.hidden_dim):
+        f = sigmoid(pre(params.W_f, params.b_f, j))
+        i = sigmoid(pre(params.W_i, params.b_i, j))
+        c_tilde = math.tanh(pre(params.W_c, params.b_c, j))
+        o = sigmoid(pre(params.W_o, params.b_o, j))
+        C.append(f * prev.C[j] + i * c_tilde)
+        h.append(o * math.tanh(C[-1]))
+    return LstmState(h=np.array(h), C=np.array(C))
 
 
 class TestCellForward:
@@ -95,6 +123,18 @@ class TestCellForward:
         with pytest.raises(ConfigurationError):
             cell_forward(cell, np.array([1.0, 2.0]), zero_state())
 
+    @given(hidden=st.integers(1, 6), d_in=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_per_gate_scalar_reference(self, hidden, d_in, seed):
+        rng = np.random.default_rng(seed)
+        cell = random_cell(hidden, d_in, rng)
+        prev = LstmState(h=rng.uniform(-1, 1, hidden), C=rng.normal(size=hidden))
+        x = rng.normal(size=d_in)
+        got = cell_forward(cell, x, prev)
+        want = cell_by_gates(cell, x, prev)
+        assert np.max(np.abs(got.h - want.h)) <= 1e-12
+        assert np.max(np.abs(got.C - want.C)) <= 1e-12
+
 
 class TestForward:
     def test_zero_net_outputs_bias(self, rng):
@@ -138,6 +178,78 @@ class TestForward:
         window = np.linspace(-1, 1, 8)
         value = forward(net, window)
         assert value == pytest.approx(0.08631984916682166, abs=1e-12)
+
+
+def bptt_by_gates(net, X, y):
+    """Reference BPTT, batch-major with one GEMM and one bias sum per gate.
+
+    Returns (gradients, batch_mse) as bptt_gradients does.
+    """
+    def sig(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    B, m = X.shape
+    cache = []
+    inputs = X[:, :, None]
+    for layer in net.layers:
+        H = layer.hidden_dim
+        h = np.zeros((B, H))
+        C = np.zeros((B, H))
+        steps = []
+        outputs = np.empty((B, m, H))
+        for t in range(m):
+            a = np.concatenate((h, inputs[:, t, :]), axis=1)
+            f = sig(a @ layer.W_f.T + layer.b_f)
+            i = sig(a @ layer.W_i.T + layer.b_i)
+            c_tilde = np.tanh(a @ layer.W_c.T + layer.b_c)
+            o = sig(a @ layer.W_o.T + layer.b_o)
+            C_new = f * C + i * c_tilde
+            tC = np.tanh(C_new)
+            h = o * tC
+            steps.append((a, f, i, c_tilde, o, C, tC))
+            C = C_new
+            outputs[:, t, :] = h
+        cache.append(steps)
+        inputs = outputs
+    err = outputs[:, -1, :] @ net.head_w + net.head_b - y
+    d_pred = 2.0 * err / B
+    g_head_w = outputs[:, -1, :].T @ d_pred
+    d_out = np.zeros((B, m, net.layers[-1].hidden_dim))
+    d_out[:, -1, :] = d_pred[:, None] * net.head_w
+    grads = []
+    for li in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[li]
+        H = layer.hidden_dim
+        g = layer.zeros_like()
+        dh_next = np.zeros((B, H))
+        dC_next = np.zeros((B, H))
+        d_inputs = np.zeros((B, m, layer.input_dim))
+        for t in range(m - 1, -1, -1):
+            a, f, i, c_tilde, o, C_prev, tC = cache[li][t]
+            dh = d_out[:, t, :] + dh_next
+            dC = dC_next + dh * o * (1.0 - tC * tC)
+            dz_f = dC * C_prev * f * (1.0 - f)
+            dz_i = dC * c_tilde * i * (1.0 - i)
+            dz_c = dC * i * (1.0 - c_tilde * c_tilde)
+            dz_o = dh * tC * o * (1.0 - o)
+            g.W_f += dz_f.T @ a
+            g.W_i += dz_i.T @ a
+            g.W_c += dz_c.T @ a
+            g.W_o += dz_o.T @ a
+            g.b_f += dz_f.sum(axis=0)
+            g.b_i += dz_i.sum(axis=0)
+            g.b_c += dz_c.sum(axis=0)
+            g.b_o += dz_o.sum(axis=0)
+            da = (dz_f @ layer.W_f + dz_i @ layer.W_i
+                  + dz_c @ layer.W_c + dz_o @ layer.W_o)
+            dh_next = da[:, :H]
+            d_inputs[:, t, :] = da[:, H:]
+            dC_next = dC * f
+        grads.append(g)
+        d_out = d_inputs
+    grads.reverse()
+    gradients = LstmNetwork(layers=grads, head_w=g_head_w, head_b=float(d_pred.sum()))
+    return gradients, float(err @ err) / B
 
 
 def numeric_gradient(net, X, y, get, set_, eps=1e-5):
@@ -219,6 +331,44 @@ class TestBpttGradients:
         net = init_network(1, 3, 1, rng)
         with pytest.raises(ConfigurationError):
             bptt_gradients(net, np.empty((0, 4)), np.empty(0))
+
+    @given(n_layers=st.integers(1, 3), hidden=st.integers(1, 6), m=st.integers(1, 8),
+           batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_gate_reference(self, n_layers, hidden, m, batch, seed):
+        rng = np.random.default_rng(seed)
+        net = init_random_head(hidden, n_layers, rng)
+        for layer in net.layers:
+            for name in ("b_f", "b_i", "b_c", "b_o"):
+                getattr(layer, name)[:] = rng.normal(size=hidden)
+        net.head_b = rng.normal()
+        X = rng.normal(size=(batch, m))
+        y = rng.normal(size=batch)
+        got, loss = bptt_gradients(net, X, y)
+        want, want_loss = bptt_by_gates(net, X, y)
+        pairs = [(getattr(g, name), getattr(w, name))
+                 for g, w in zip(got.layers, want.layers) for name in PARAM_FIELDS]
+        pairs += [(got.head_w, want.head_w), (np.array([got.head_b]), np.array([want.head_b]))]
+        scale = max(float(np.max(np.abs(w))) for _, w in pairs)
+        for g, w in pairs:
+            assert g.shape == w.shape
+            assert np.max(np.abs(g - w)) <= 1e-12 * scale
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_gradient_names_its_layer_and_field(self, rng):
+        # Layer 0 sees x = 1e300 through unit weights on its f, i and o
+        # gates, which saturate to exactly 1, so their gradients are exactly
+        # 0; the candidate's weight 1e-300 keeps it unsaturated, and its
+        # gradient times x overflows in W_c alone.
+        net = init_network(1, 2, 2, rng)
+        layer = net.layers[0]
+        for W in (layer.W_f, layer.W_i, layer.W_o):
+            W[:, -1] = 1.0
+        layer.W_c[:, -1] = 1e-300
+        net.head_w = np.full(2, 1e10)
+        with pytest.raises(FitError, match=r"^non-finite gradient in layer 0 W_c$"):
+            bptt_gradients(net, np.array([[1e300]]), np.array([0.0]))
 
 
 class TestMakeWindows:
