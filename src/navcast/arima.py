@@ -11,7 +11,7 @@ Estimation conventions:
   which is the minimizer of the same objective;
 * fits with MA terms minimize it by L-BFGS-B from Yule-Walker AR and zero MA
   starts, with phi in [-10, 10], theta in [-0.99, 0.99] and the exact CSS
-  gradient (two residual passes per evaluation, one of them backwards in
+  gradient (two solves on one band per evaluation, one of them backwards in
   time, see `_css`).
 
 The residual recursion eps = phi(B) z / (1 - theta(B)) is one FIR pass
@@ -96,23 +96,26 @@ class OrderSearchReport:
     model: ArimaModel = None  # the search's own fit of the chosen order
 
 
-def _arma_residuals(z, phi, theta):
-    """One-step residuals of the ARMA recursion with zero pre-sample terms.
+def _ar_filter(z, phi):
+    """The FIR pass phi(B) z, with z zero before the sample."""
+    return np.convolve(z, np.concatenate(([1.0], np.negative(phi, dtype=float))))[: len(z)]
 
-    eps_t = z_t - sum phi_i z_{t-i} + sum theta_j eps_{t-j}, run from t=0 with
-    z and eps zero-padded before the sample: the FIR pass phi(B) z, then
-    forward substitution in (1 - theta(B)) eps = phi(B) z, a unit lower
-    triangular banded system (Golub & Van Loan, Matrix Computations, 4.3).
-    """
-    n = len(z)
-    ar = np.convolve(z, np.concatenate(([1.0], np.negative(phi, dtype=float))))[:n]
-    # LAPACK's lower band storage: column t holds [1, -theta_1, ..., -theta_q],
-    # the unit diagonal (not read) and the q entries below it; with q = 0 the
-    # solve only copies.  All columns are equal, and the transpose of the
-    # repeated row is Fortran-contiguous, so it reaches dtbtrs without a copy.
+
+def _ma_inverse(theta, n):
+    """b -> A^-1 b, A the n x n unit lower triangular Toeplitz matrix of 1 - theta(B),
+    by forward substitution (LAPACK dtbtrs) on one band whose every column is
+    [1, -theta_1, ..., -theta_q] (unit diagonal not read; with q = 0 it only
+    copies).  The transposed repeated row is Fortran-contiguous: no copy."""
     column = np.concatenate(([1.0], np.negative(theta, dtype=float)))
-    eps, _ = dtbtrs(column[None, :].repeat(n, axis=0).T, ar, uplo="L", diag="U")
-    return eps
+    band = column[None, :].repeat(n, axis=0).T
+    return lambda b: dtbtrs(band, b, uplo="L", diag="U")[0]
+
+
+def _arma_residuals(z, phi, theta):
+    """One-step residuals eps_t = z_t - sum phi_i z_{t-i} + sum theta_j eps_{t-j}
+    with zero pre-sample terms: the FIR pass phi(B) z, then (1 - theta(B)) eps =
+    phi(B) z as a banded solve (Golub & Van Loan, Matrix Computations, 4.3)."""
+    return _ma_inverse(theta, len(z))(_ar_filter(z, phi))
 
 
 def _css(z, phi, theta, p):
@@ -123,18 +126,20 @@ def _css(z, phi, theta, p):
     (A^-1 eps)_{t-j} (Box, Jenkins, Reinsel & Ljung, ch. 7).  A commutes with
     shifts, so with r the residuals from t = p on (zero before) and
     w = A^-T r, dCSS/dphi_i = -2 sum w_t z_{t-i} and dCSS/dtheta_j =
-    2 sum w_t eps_{t-j}.  A^-T is A^-1 in reversed time, so w is one more
-    residual pass, run backwards: two passes per evaluation whatever p + q is.
+    2 sum w_t eps_{t-j}.  A^-T is A^-1 in reversed time, so w is a second
+    solve on the same band, run backwards: one band and two solves per
+    evaluation whatever p + q is.
     """
     q, n = len(theta), len(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        eps = _arma_residuals(z, phi, theta)
+        solve = _ma_inverse(theta, n)
+        eps = solve(_ar_filter(z, phi))
         tail = eps[p:]
         css = float(tail @ tail)
         r = np.concatenate((np.zeros(p), tail))
         # Zero-padded so that correlating it with a length-n series gives
         # sum_t w_t x_{t-k} for k = 0 .. max(p, q).
-        w = np.concatenate((_arma_residuals(r[::-1], (), theta)[::-1], np.zeros(max(p, q))))
+        w = np.concatenate((solve(r[::-1])[::-1], np.zeros(max(p, q))))
         grad = 2.0 * np.concatenate((-np.correlate(w[: n + p], z)[1:],
                                      np.correlate(w[: n + q], eps)[1:]))
     # Explosive candidates overflow; report a huge finite value and a zero

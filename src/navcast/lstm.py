@@ -6,12 +6,15 @@ backpropagation through time over the full window, no truncation.  Training is
 mini-batch Adam with a seeded shuffle, fully deterministic for a fixed seed.
 
 The kernel is gate-major: every per-step array is (rows, B) with the batch
-last.  A layer's four gates are one (4H, H + d_in + 1) matrix of [W | b] rows
-in the order f, i, o, c_tilde, so each gate is a contiguous block of rows and
-a_t = [h_{t-1}; x_t; 1] gives all four pre-activations in one GEMM.  The
-backward pass gets the weight and bias gradients from one GEMM per step,
-dz @ a_t^T, and the input gradient from W^T @ dz; the split back into the
-eight LstmCellParams fields happens once per layer.
+last.  A layer stores its weights once, as one (4H, H + d_in + 1) matrix Wb
+of [W | b] rows in the order f, i, o, c_tilde (W_f ... b_o are views of its
+blocks), so each gate is a contiguous block of rows and a_t = [h_{t-1}; x_t; 1]
+gives all four pre-activations in one GEMM.  The backward pass gets the
+weight and bias gradients, in the same layout, from one GEMM per step,
+dz @ a_t^T, and the input gradient from W^T @ dz.
+
+`forward`, `bptt_gradients` and `train` run every OpenBLAS pool at one thread
+(navcast._blas): their small GEMMs gain nothing from a second thread.
 """
 
 from __future__ import annotations
@@ -25,47 +28,71 @@ from .errors import ConfigurationError, DegenerateInputError, FitError, Numerica
 from .series import ScaleParams, minmax_scale
 
 
-@dataclass
-class LstmCellParams:
-    """One layer's gate weights over [h_prev, x] and biases."""
-
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_c: np.ndarray
-    W_o: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_c: np.ndarray
-    b_o: np.ndarray
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.W_f.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.W_f.shape[1] - self.W_f.shape[0]
-
-    def check(self):
-        h = self.hidden_dim
-        for name in PARAM_FIELDS:
-            arr = getattr(self, name)
-            shape = (h, h + self.input_dim) if name.startswith("W") else (h,)
-            if arr.shape != shape:
-                raise ConfigurationError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise NumericalError(f"{name} contains non-finite entries")
-
-    def zeros_like(self) -> "LstmCellParams":
-        return LstmCellParams(
-            *(np.zeros_like(getattr(self, n)) for n in PARAM_FIELDS)
-        )
-
-
 PARAM_FIELDS = ("W_f", "W_i", "W_c", "W_o", "b_f", "b_i", "b_c", "b_o")
 # Row-block order of the stacked gate matrix: the three sigmoid gates first,
 # so one in-place sigmoid covers rows :3H, then the tanh candidate.
 GATES = ("f", "i", "o", "c")
+
+
+def _gate_view(name):
+    """Field `name` as a view of its block of Wb; assigning to it copies into the block."""
+    k = GATES.index(name[-1])
+    cols = -1 if name[0] == "b" else slice(None, -1)
+
+    def block(self):
+        H = self.hidden_dim
+        return self.Wb[k * H:(k + 1) * H, cols]
+
+    def assign(self, value):
+        view = block(self)
+        if np.shape(value) != view.shape:
+            raise ConfigurationError(f"{name} has shape {np.shape(value)}, expected {view.shape}")
+        view[...] = value
+
+    return property(block, assign)
+
+
+class LstmCellParams:
+    """One layer's gates: a (4H, H + d_in + 1) matrix Wb of [W | b] rows, H per
+    gate in GATES order, the only stored copy of the weights.  W_f ... W_o
+    (H, H + d_in) over [h_prev, x] and b_f ... b_o (H,) are views of its
+    blocks; the constructor copies the eight arrays in, `wrap` adopts a matrix."""
+
+    W_f, W_i, W_c, W_o, b_f, b_i, b_c, b_o = map(_gate_view, PARAM_FIELDS)
+
+    def __init__(self, W_f, W_i, W_c, W_o, b_f, b_i, b_c, b_o):
+        H, K = np.shape(W_f)
+        self.Wb = np.empty((4 * H, K + 1))
+        for name, value in zip(PARAM_FIELDS, (W_f, W_i, W_c, W_o, b_f, b_i, b_c, b_o)):
+            setattr(self, name, value)
+
+    @classmethod
+    def wrap(cls, Wb: np.ndarray) -> "LstmCellParams":
+        layer = cls.__new__(cls)
+        layer.Wb = Wb
+        return layer
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.Wb.shape[0] // 4
+
+    @property
+    def input_dim(self) -> int:
+        return self.Wb.shape[1] - 1 - self.hidden_dim
+
+    def _non_finite_field(self) -> str | None:
+        """The first field in PARAM_FIELDS order with a non-finite entry, or None."""
+        if np.all(np.isfinite(self.Wb)):
+            return None
+        return next(n for n in PARAM_FIELDS if not np.all(np.isfinite(getattr(self, n))))
+
+    def check(self):
+        name = self._non_finite_field()
+        if name is not None:
+            raise NumericalError(f"{name} contains non-finite entries")
+
+    def zeros_like(self) -> "LstmCellParams":
+        return LstmCellParams.wrap(np.zeros_like(self.Wb))
 
 
 @dataclass
@@ -147,15 +174,9 @@ def init_network(
         k = 1.0 / np.sqrt(hidden_dim + d_in)
         def W():
             return rng.uniform(-k, k, size=(hidden_dim, hidden_dim + d_in))
-        layers.append(
-            LstmCellParams(
-                W_f=W(), W_i=W(), W_c=W(), W_o=W(),
-                b_f=np.ones(hidden_dim),
-                b_i=np.zeros(hidden_dim),
-                b_c=np.zeros(hidden_dim),
-                b_o=np.zeros(hidden_dim),
-            )
-        )
+        zeros = np.zeros(hidden_dim)
+        layers.append(LstmCellParams(W_f=W(), W_i=W(), W_c=W(), W_o=W(),
+                                     b_f=np.ones(hidden_dim), b_i=zeros, b_c=zeros, b_o=zeros))
         d_in = hidden_dim
     net = LstmNetwork(layers=layers, head_w=np.zeros(hidden_dim), head_b=0.0)
     net.check()
@@ -165,44 +186,21 @@ def init_network(
 def cell_forward(params: LstmCellParams, x: np.ndarray, prev: LstmState) -> LstmState:
     """Single-step cell update; x is (input_dim,) and prev holds (hidden_dim,)."""
     a = np.concatenate((prev.h, np.atleast_1d(np.asarray(x, dtype=float)), [1.0]))
-    if a.shape[0] != params.W_f.shape[1] + 1:
-        raise ConfigurationError(
-            f"concatenated input has length {a.shape[0] - 1}, expected {params.W_f.shape[1]}"
-        )
+    if a.shape[0] != params.Wb.shape[1]:
+        raise ConfigurationError(f"concatenated input has length {a.shape[0] - 1}, "
+                                 f"expected {params.Wb.shape[1] - 1}")
     H = params.hidden_dim
     C, tC, h = np.empty((3, H, 1))
-    _cell_step(_stacked(params), a[:, None], prev.C[:, None], np.empty((4 * H, 1)), C, tC, h)
+    _cell_step(params.Wb, a[:, None], prev.C[:, None], np.empty((4 * H, 1)), C, tC, h)
     if not (np.all(np.isfinite(C)) and np.all(np.isfinite(h))):
         raise NumericalError("non-finite cell state")
     return LstmState(h=h[:, 0], C=C[:, 0])
 
 
-def _stacked(layer: LstmCellParams) -> np.ndarray:
-    """The layer's four gates as one (4H, H + d_in + 1) matrix of [W | b] rows,
-    in GATES order."""
-    H, K = layer.W_f.shape
-    W = np.empty((4 * H, K + 1))
-    for k, gate in enumerate(GATES):
-        W[k * H:(k + 1) * H, :K] = getattr(layer, "W_" + gate)
-        W[k * H:(k + 1) * H, K] = getattr(layer, "b_" + gate)
-    return W
-
-
-def _unstacked(gW: np.ndarray) -> LstmCellParams:
-    """Split a (4H, H + d_in + 1) [W | b] matrix in GATES order into the eight fields."""
-    H = gW.shape[0] // 4
-    fields = {}
-    for k, gate in enumerate(GATES):
-        rows = gW[k * H:(k + 1) * H]
-        fields["W_" + gate] = rows[:, :-1].copy()
-        fields["b_" + gate] = rows[:, -1].copy()
-    return LstmCellParams(**fields)
-
-
 def _cell_step(W, a, C_prev, g, C, tC, h):
     """One cell update of every column of a = [h_prev; x; 1] (H + d_in + 1, B).
 
-    W is the stacked (4H, H + d_in + 1) gate matrix and C_prev the (H, B)
+    W is a layer's (4H, H + d_in + 1) gate matrix Wb and C_prev the (H, B)
     state.  Writes the activated gates f, i, o, c_tilde into g (4H, B) and
     the new state, its tanh and the new hidden output into C, tC and h.
     """
@@ -228,16 +226,14 @@ def _forward_batch(net: LstmNetwork, X: np.ndarray, want_cache: bool = False):
     Each step allocates its own small arrays, which the allocator recycles
     from call to call; one (m, rows, B) block per layer would be returned to
     the OS and page-faulted in again on every call.  Returns predictions (B,)
-    and, when requested, each layer's stacked matrix with its per-step
-    (a_t, gates, C_{t-1}, tanh(C_t)), and the top layer's last output, which
-    backpropagation needs.
+    and, when requested, each layer's per-step (a_t, gates, C_{t-1},
+    tanh(C_t)) and the top layer's last output, which backpropagation needs.
     """
     B, m = X.shape
     xs = [X[:, t] for t in range(m)]
     cache = []
     for layer in net.layers:
-        H = layer.hidden_dim
-        W = _stacked(layer)
+        H, W = layer.hidden_dim, layer.Wb
         C = np.zeros((H, B))
         h = np.zeros((H, B))
         steps, hs = [], []
@@ -253,7 +249,7 @@ def _forward_batch(net: LstmNetwork, X: np.ndarray, want_cache: bool = False):
                 steps.append((a, g, C, tC))
             hs.append(h)
             C = C_new
-        cache.append((W, steps))
+        cache.append(steps)
         xs = hs
     preds = net.head_w @ h + net.head_b
     if want_cache:
@@ -261,18 +257,20 @@ def _forward_batch(net: LstmNetwork, X: np.ndarray, want_cache: bool = False):
     return preds
 
 
+@_blas.single_threaded()
 def forward(net: LstmNetwork, window) -> float:
     """Run one window of length m through the stack; zero initial states."""
     w = np.asarray(window, dtype=float).reshape(1, -1)
     return float(_forward_batch(net, w)[0])
 
 
+@_blas.single_threaded()
 def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
     """Exact gradients of mean squared error over the batch.
 
     Returns (gradients, batch_mse).  Loss is mean over the batch of
     (prediction - target)^2; the gradients are an LstmNetwork of the same
-    shape as net.
+    shape as net, whose layers wrap the kernel's gradient matrices.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -292,8 +290,7 @@ def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
 
     grads = []
     for li in range(len(net.layers) - 1, -1, -1):
-        W, steps = cache[li]
-        H = net.layers[li].hidden_dim
+        W, H, steps = net.layers[li].Wb, net.layers[li].hidden_dim, cache[li]
         W_in_T = W[:, :-1].T  # maps gate gradients back onto [h_prev; x]
         gW = np.zeros_like(W)  # its last column is the bias gradient
         dz = np.empty((4 * H, B))
@@ -317,10 +314,10 @@ def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
             dh_next = da[:H]
             d_inputs[t] = da[H:]
             dC_next = dC * f
-        layer_grads = _unstacked(gW)
-        for name in PARAM_FIELDS:
-            if not np.all(np.isfinite(getattr(layer_grads, name))):
-                raise FitError(f"non-finite gradient in layer {li} {name}")
+        layer_grads = LstmCellParams.wrap(gW)
+        name = layer_grads._non_finite_field()
+        if name is not None:
+            raise FitError(f"non-finite gradient in layer {li} {name}")
         grads.append(layer_grads)
         d_out = d_inputs
     grads.reverse()
@@ -361,10 +358,11 @@ class _Adam:
 
 
 def _arrays(net: LstmNetwork) -> list:
-    """The weight arrays of a net, or of its gradients, in a fixed order."""
-    return [getattr(layer, name) for layer in net.layers for name in PARAM_FIELDS] + [net.head_w]
+    """The weight arrays of a net, or of its gradients: each layer's Wb, then the head."""
+    return [layer.Wb for layer in net.layers] + [net.head_w]
 
 
+@_blas.single_threaded()
 def train(
     net: LstmNetwork,
     data: SupervisedWindowSet,
@@ -376,9 +374,7 @@ def train(
     One Adam rule updates every parameter, the head bias included.
     Validation loss, when a validation set is given, is recorded per epoch
     for reporting only; the returned network always carries the last-epoch
-    weights.  Training runs with every OpenBLAS pool at one thread
-    (navcast._blas): its GEMMs gain nothing from a second thread and, on a
-    busy machine, wait for one.
+    weights.
     """
     n = len(data.inputs)
     if n == 0:
@@ -388,23 +384,22 @@ def train(
     opt = _Adam(cfg.learning_rate)
     train_losses = np.empty(cfg.epochs)
     val_losses = np.empty(cfg.epochs) if val_data is not None else None
-    with _blas.single_threaded():
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            sq_sum = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start: start + cfg.batch_size]
-                grads, loss = bptt_gradients(net, data.inputs[idx], data.targets[idx])
-                sq_sum += loss * len(idx)
-                *updates, head_b_update = opt.step(_arrays(grads) + [grads.head_b])
-                for param, update in zip(_arrays(net), updates):
-                    param -= update
-                net.head_b -= float(head_b_update)
-            train_losses[epoch] = sq_sum / n
-            if val_data is not None:
-                vp = _forward_batch(net, val_data.inputs)
-                verr = vp - val_data.targets
-                val_losses[epoch] = float(verr @ verr) / len(verr)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        sq_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start: start + cfg.batch_size]
+            grads, loss = bptt_gradients(net, data.inputs[idx], data.targets[idx])
+            sq_sum += loss * len(idx)
+            *updates, head_b_update = opt.step(_arrays(grads) + [grads.head_b])
+            for param, update in zip(_arrays(net), updates):
+                param -= update
+            net.head_b -= float(head_b_update)
+        train_losses[epoch] = sq_sum / n
+        if val_data is not None:
+            vp = _forward_batch(net, val_data.inputs)
+            verr = vp - val_data.targets
+            val_losses[epoch] = float(verr @ verr) / len(verr)
     best_val = int(np.argmin(val_losses)) if val_losses is not None else None
     return TrainResult(net=net, train_losses=train_losses, val_losses=val_losses,
                        best_val_epoch=best_val)
@@ -437,11 +432,9 @@ def deserialize(text: str) -> LstmNetwork:
         layers = []
         for li in range(int(rest["layers"][0])):
             h, d_in = dims[li]
-            kwargs = {}
-            for name in PARAM_FIELDS:
-                arr = payload[(li, name)]
-                kwargs[name] = arr.reshape(h, h + d_in) if name.startswith("W") else arr
-            layers.append(LstmCellParams(**kwargs))
+            layers.append(LstmCellParams(**{
+                name: payload[(li, name)].reshape(h, h + d_in) if name[0] == "W"
+                else payload[(li, name)] for name in PARAM_FIELDS}))
         net = LstmNetwork(layers=layers, head_w=np.array([float(v) for v in rest["head_w"]]),
                           head_b=float(rest["head_b"][0]))
     except (KeyError, IndexError) as exc:

@@ -7,6 +7,7 @@ spans to pin how often each layer runs per `compare` and check that
 
 import importlib.util
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -93,3 +94,13 @@ def test_auto_order_search_runs_inside_the_arima_evaluation(traced_compare):
     metrics = spans_mod.layer_metrics(spans)
     assert metrics["arima.fit.rolling.calls"] == 0  # the search's fit is reused
     assert metrics["arima.fit.search.calls"] == 36
+
+
+def test_the_lstm_layer_metrics_read_the_network(traced_compare):
+    # spans.py reads each layer's weights (vars(layer)) for the training
+    # input digest, and hidden_dim and W_f's shape for the BPTT FLOP count.
+    run, spans_mod = traced_compare
+    metrics = spans_mod.layer_metrics(run("--order", "1,1,0"))
+    gflop_s = metrics["lstm.bptt_gradients.gflop_s_computed"]
+    assert math.isfinite(gflop_s) and gflop_s > 0
+    assert metrics["lstm.train.distinct_ratio"] == 1.0

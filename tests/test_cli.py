@@ -653,21 +653,30 @@ class TestBlasThreads:
 
     def test_library_training_runs_on_one_thread_and_restores_the_counts(self, counts,
                                                                           monkeypatch):
-        original, seen = lstm_mod.bptt_gradients, []
+        # Every LSTM kernel call goes through _forward_batch: train's, and
+        # those of direct bptt_gradients and forward calls.
+        original, seen = lstm_mod._forward_batch, []
 
-        def recording_bptt(*args, **kwargs):
+        def recording_forward_batch(*args, **kwargs):
             seen.append(counts())
             return original(*args, **kwargs)
-        monkeypatch.setattr(lstm_mod, "bptt_gradients", recording_bptt)
+        monkeypatch.setattr(lstm_mod, "_forward_batch", recording_forward_batch)
         before = counts()
         rng = np.random.default_rng(0)
         values = rng.normal(size=40)
         data = lstm_mod.make_windows(values, 5, fit_scale(values))
         net = lstm_mod.init_network(1, 4, 1, rng)
-        lstm_mod.train(net, data, lstm_mod.TrainConfig(epochs=2, batch_size=16, layers=1,
-                                                       hidden_dim=4, window_m=5))
-        assert seen and all(c == [1] * len(c) for c in seen), seen
-        assert counts() == before
+        calls = {
+            "train": lambda: lstm_mod.train(net, data, lstm_mod.TrainConfig(
+                epochs=2, batch_size=16, layers=1, hidden_dim=4, window_m=5)),
+            "bptt_gradients": lambda: lstm_mod.bptt_gradients(net, data.inputs, data.targets),
+            "forward": lambda: lstm_mod.forward(net, data.inputs[0]),
+        }
+        for name, call in calls.items():
+            seen.clear()
+            call()
+            assert seen and all(c == [1] * len(c) for c in seen), (name, seen)
+            assert counts() == before, name
 
     def test_import_sets_no_thread_count(self, counts):
         before = counts()

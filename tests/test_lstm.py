@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from navcast.errors import ConfigurationError, DegenerateInputError, FitError
+import navcast.lstm as lstm_mod
+from navcast.errors import ConfigurationError, DegenerateInputError, FitError, NumericalError
 from navcast.lstm import (
+    GATES,
     LstmCellParams,
     LstmNetwork,
     LstmState,
@@ -134,6 +137,52 @@ class TestCellForward:
         want = cell_by_gates(cell, x, prev)
         assert np.max(np.abs(got.h - want.h)) <= 1e-12
         assert np.max(np.abs(got.C - want.C)) <= 1e-12
+
+
+class TestGateMajorLayout:
+    """Each layer stores one (4H, H + d_in + 1) matrix; the per-gate names are views of it."""
+
+    @pytest.mark.parametrize("name, shape", [("W_c", (3, 4)), ("W_o", (3, 5, 1)),
+                                             ("b_i", (4,)), ("b_o", (3, 1))])
+    def test_constructor_names_a_wrongly_shaped_gate(self, rng, name, shape):
+        fields = {n: getattr(random_cell(3, 2, rng), n) for n in PARAM_FIELDS}
+        fields[name] = np.zeros(shape)
+        with pytest.raises(ConfigurationError, match=rf"^{name} has shape {re.escape(str(shape))}"):
+            LstmCellParams(**fields)
+
+    def test_each_gate_is_its_block_of_the_matrix(self, rng):
+        layer = random_cell(3, 2, rng)
+        assert layer.Wb.shape == (12, 6)
+        for k, gate in enumerate(GATES):
+            rows = layer.Wb[3 * k:3 * (k + 1)]
+            assert np.shares_memory(getattr(layer, "W_" + gate), layer.Wb)
+            assert np.array_equal(getattr(layer, "W_" + gate), rows[:, :-1])
+            assert np.array_equal(getattr(layer, "b_" + gate), rows[:, -1])
+
+    def test_the_views_write_through(self, rng):
+        net = init_random_head(4, 2, rng)
+        window = rng.normal(size=6)
+        before = forward(net, window)
+        net.layers[-1].b_o[:] = 5.0
+        raised = forward(net, window)
+        assert raised != before
+        net.layers[-1].b_o = np.zeros(4)
+        assert forward(net, window) != raised
+        assert np.all(net.layers[-1].Wb[8:12, -1] == 0.0)
+
+    def test_gradient_layers_are_views_of_their_matrices(self, rng):
+        net = init_random_head(3, 2, rng)
+        grads, _ = bptt_gradients(net, rng.normal(size=(4, 5)), rng.normal(size=4))
+        for g, layer in zip(grads.layers, net.layers):
+            assert g.Wb.shape == layer.Wb.shape
+            assert all(np.shares_memory(getattr(g, name), g.Wb) for name in PARAM_FIELDS)
+
+    @pytest.mark.parametrize("name", PARAM_FIELDS)
+    def test_check_names_the_field_with_a_non_finite_weight(self, rng, name):
+        net = init_network(1, 3, 2, rng)
+        getattr(net.layers[1], name)[-1] = np.inf
+        with pytest.raises(NumericalError, match=rf"^{name} contains non-finite entries$"):
+            net.check()
 
 
 class TestForward:
@@ -434,6 +483,18 @@ class TestTrain:
         empty = SupervisedWindowSet(np.empty((0, 4)), np.empty(0))
         with pytest.raises(ConfigurationError):
             train(net, empty, TrainConfig(epochs=1))
+
+    def test_adam_steps_each_layer_matrix_the_head_and_its_bias(self, monkeypatch):
+        step, sizes = lstm_mod._Adam.step, []
+
+        def recording_step(self, grads):
+            sizes.append(len(grads))
+            return step(self, grads)
+        monkeypatch.setattr(lstm_mod._Adam, "step", recording_step)
+        cfg = TrainConfig(layers=3, hidden_dim=4, window_m=4, epochs=1, batch_size=64)
+        net = init_network(1, cfg.hidden_dim, cfg.layers, np.random.default_rng(0))
+        train(net, linear_recurrence_windows(), cfg)
+        assert sizes and set(sizes) == {3 + 2}
 
     def test_defaults_match_stated_hyperparameters(self):
         cfg = TrainConfig()
