@@ -18,7 +18,6 @@ from .hybrid import (
     HybridModel,
     compare_models,
     fit_hybrid,
-    predict_one,
     sliding_window_evaluate,
 )
 from .lstm import (

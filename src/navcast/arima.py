@@ -306,6 +306,13 @@ def forecast_one(model: ArimaModel, history: TimeSeries) -> float:
     and no other term of the last residual depends on x, so that residual is
     x minus the forecast.  x is the last observed value.
     """
+    return _forecast_and_residuals(model, history)[0]
+
+
+def _forecast_and_residuals(model: ArimaModel, history: TimeSeries):
+    """(forecast_one(model, history), residuals(model, history)) from one run of
+    the recursion: the residuals of history are those of the extended series
+    from entry p up to the one before its last."""
     p, d, q = model.order
     # The recursion reads the last p values and the last q residuals of z.
     if len(history) < d + max(p + 1, q):
@@ -314,7 +321,8 @@ def forecast_one(model: ArimaModel, history: TimeSeries) -> float:
         )
     y = np.append(history.values, history.values[-1])
     z = np.diff(y, d) - model.intercept
-    return float(y[-1] - _arma_residuals(z, model.ar_coeffs, model.ma_coeffs)[-1])
+    eps = _arma_residuals(z, model.ar_coeffs, model.ma_coeffs)
+    return float(y[-1] - eps[-1]), eps[p:-1]
 
 
 def residuals(model: ArimaModel, series: TimeSeries) -> np.ndarray:

@@ -11,6 +11,7 @@ import datetime
 import itertools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     NavcastError,
     NumericalError,
 )
-from .hybrid import DEFAULT_WINDOW_L, compare_models, failure_message, fit_hybrid
+from .hybrid import DEFAULT_WINDOW_L, SEED_OFFSETS, compare_models, failure_message, fit_hybrid
 from .lstm import TrainConfig
 from .metrics import MODEL_KINDS, format_table
 from .series import SplitSpec, TimeSeries, acf, adf_test, difference, pacf, split
@@ -196,8 +197,11 @@ def cmd_fit_arima(series: TimeSeries, order, out_dir: Path) -> arima_mod.ArimaMo
 
 
 def cmd_fit_hybrid(series: TimeSeries, spec: SplitSpec, order, cfg: TrainConfig, out_dir: Path):
+    """compare's hybrid fit without the walk: its net is seeded as compare seeds
+    the hybrid's, so for the same flags it writes compare's models/."""
     train, val, _ = split(series, spec)
-    model = fit_hybrid(train, val, arima_mod._fit_or_search(train, order), cfg)
+    model = fit_hybrid(train, val, arima_mod._fit_or_search(train, order),
+                       replace(cfg, seed=cfg.seed + SEED_OFFSETS["hybrid"]))
     _write_models(out_dir, model.arima, model.residual_net)
     summary = {
         "arima_order": [model.arima.order.p, model.arima.order.d, model.arima.order.q],

@@ -55,8 +55,9 @@ class EvalRun:
     # The fit on the training segment (ArimaModel, LstmNetwork or
     # HybridModel); under refit == "arima" it is not the last window's refit.
     model: object = None
-    # arima only: the ArimaModel that made each step's forecast.
-    step_models: tuple = ()
+    # arima only: each step's residuals over its history window, as
+    # arima.residuals(model of the step, window) gives them.
+    step_residuals: tuple = ()
 
 
 def _train_net(stream, n_train: int, scale: ScaleParams, cfg: TrainConfig):
@@ -130,17 +131,6 @@ def _correction(model: HybridModel, recent_residuals) -> float:
     return _net_forecast(model.residual_net, resid[-model.window_m:], model.residual_scale)
 
 
-def predict_one(model: HybridModel, history: TimeSeries, recent_residuals):
-    """One-step hybrid forecast; returns (yhat, linear, nonlinear).
-
-    yhat is exactly linear + nonlinear: the superposition is an identity, not
-    an approximation.
-    """
-    nhat = _correction(model, recent_residuals)
-    lhat = arima_mod.forecast_one(model.arima, history)
-    return lhat + nhat, lhat, nhat
-
-
 def sliding_window_evaluate(
     series: TimeSeries,
     spec: SplitSpec,
@@ -161,8 +151,8 @@ def sliding_window_evaluate(
     The hybrid's linear part is the arima kind's forecast: the hybrid kind
     trains on the training fit of `arima_run`, an arima run of the same
     series, split and window_L, takes that run's forecasts as its linear part
-    and adds only its residual correction, computed with that run's per-step
-    models.  It evaluates an arima run itself when none is given.
+    and adds only its residual correction, read off that run's per-step
+    residuals.  It evaluates an arima run itself when none is given.
     """
     if kind not in MODEL_KINDS:
         raise ConfigurationError(f"unknown model kind {kind!r}")
@@ -185,7 +175,7 @@ def sliding_window_evaluate(
     preds = np.empty(spec.test_len)
     actuals = np.empty(spec.test_len)
     linear = nonlinear = None
-    step_models = []
+    step_residuals = []
 
     if kind == "arima":
         fitted = model = arima_mod._fit_or_search(train, arima_order)
@@ -193,8 +183,8 @@ def sliding_window_evaluate(
             hist = series.slice(max(0, t - window_L), t)
             if refit == "arima":
                 model = arima_mod.fit(hist, fitted.order)
-            step_models.append(model)
-            preds[j] = arima_mod.forecast_one(model, hist)
+            preds[j], resid = arima_mod._forecast_and_residuals(model, hist)
+            step_residuals.append(resid)
             actuals[j] = series.segment(t, t + 1)[0]
     elif kind == "lstm":
         # Single-model baseline: trained on scaled raw levels with the same
@@ -216,9 +206,7 @@ def sliding_window_evaluate(
         linear = arima_run.predictions.copy()
         nonlinear = np.empty(spec.test_len)
         for j, t in enumerate(range(test_start, n)):
-            hist = series.slice(max(0, t - window_L), t)
-            resid = arima_mod.residuals(arima_run.step_models[j], hist)
-            nonlinear[j] = _correction(fitted, resid)
+            nonlinear[j] = _correction(fitted, arima_run.step_residuals[j])
             actuals[j] = series.segment(t, t + 1)[0]
         preds = linear + nonlinear
 
@@ -231,7 +219,7 @@ def sliding_window_evaluate(
         linear=linear,
         nonlinear=nonlinear,
         model=fitted,
-        step_models=tuple(step_models),
+        step_residuals=tuple(step_residuals),
     )
 
 

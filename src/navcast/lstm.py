@@ -91,9 +91,6 @@ class LstmCellParams:
         if name is not None:
             raise NumericalError(f"{name} contains non-finite entries")
 
-    def zeros_like(self) -> "LstmCellParams":
-        return LstmCellParams.wrap(np.zeros_like(self.Wb))
-
 
 @dataclass
 class LstmState:

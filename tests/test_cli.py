@@ -288,6 +288,16 @@ class TestCompareCommand:
         assert (out / "models" / "arima.txt").read_text() == arima_mod.serialize(ref.arima)
         assert (out / "models" / "lstm.txt").read_text() == lstm_mod.serialize(ref.residual_net)
 
+    def test_fit_hybrid_writes_the_models_of_compare(self, tmp_path):
+        code, out = self.run_compare(tmp_path)
+        assert code == EXIT_OK
+        fit_out = tmp_path / "fit-hybrid"
+        assert main(["fit-hybrid", "--input", str(tmp_path / "series.csv"), "--out", str(fit_out),
+                     "--seed", "7", "--epochs", "5", "--layers", "1", "--hidden", "8",
+                     "--window-m", "10", "--batch", "32"]) == EXIT_OK
+        for name in ("arima.txt", "lstm.txt"):
+            assert (fit_out / "models" / name).read_bytes() == (out / "models" / name).read_bytes()
+
     def test_one_arima_walk_under_refit(self, tmp_path, monkeypatch):
         original, calls = arima_mod.fit, []
 

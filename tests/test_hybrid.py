@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import navcast.arima as arima
+import navcast.hybrid as hybrid_mod
 from navcast.cli import generate_synthetic
 from navcast.errors import AnalysisError, ConfigurationError, DegenerateInputError
 from navcast.hybrid import (
@@ -12,10 +13,9 @@ from navcast.hybrid import (
     compare_models,
     failure_message,
     fit_hybrid,
-    predict_one,
     sliding_window_evaluate,
 )
-from navcast.lstm import LstmNetwork, TrainConfig, init_network
+from navcast.lstm import LstmNetwork, TrainConfig
 from navcast.series import SplitSpec, TimeSeries
 from navcast.metrics import MODEL_KINDS, mse
 from conftest import as_series
@@ -57,38 +57,6 @@ class TestFitHybrid:
         assert mse(hyb.predictions, hyb.actuals) <= 2 * mse(ari.predictions, ari.actuals)
 
 
-class TestPredictOne:
-    def _model(self, s, cfg=FAST):
-        train = s.slice(0, len(s) - 50)
-        return fit_hybrid(train, s.slice(len(s) - 50, len(s)),
-                          arima.select_order(train).model, cfg)
-
-    def test_zero_output_head_reduces_to_arima(self):
-        s = sine_walk(300, seed=4)
-        model = self._model(s)
-        rng = np.random.default_rng(0)
-        zero_net = init_network(1, 4, 1, rng)  # head is zero-initialized
-        zeroed = HybridModel(model.arima, zero_net, model.residual_scale, model.window_m)
-        resid = arima.residuals(model.arima, s)
-        # the residual scale maps 0 to 0, so a zero head is a zero correction
-        yhat, lhat, nhat = predict_one(zeroed, s, resid)
-        assert nhat == pytest.approx(0.0, abs=1e-12)
-        assert yhat == pytest.approx(lhat, abs=1e-12)
-
-    def test_superposition_arithmetic(self):
-        s = sine_walk(300, seed=5)
-        model = self._model(s)
-        resid = arima.residuals(model.arima, s)
-        yhat, lhat, nhat = predict_one(model, s, resid)
-        assert yhat == lhat + nhat
-
-    def test_insufficient_residuals(self):
-        s = sine_walk(300, seed=6)
-        model = self._model(s)
-        with pytest.raises(DegenerateInputError):
-            predict_one(model, s, np.zeros(model.window_m - 1))
-
-
 class TestSlidingWindowEvaluate:
     def test_naive_persistence_closed_form(self):
         # ARIMA(0,1,0) with negligible drift: each prediction is yesterday's
@@ -128,18 +96,53 @@ class TestSlidingWindowEvaluate:
                                         arima_order=arima.ArimaOrder(1, 1, 0))
         assert not np.array_equal(base.predictions, refit.predictions)
 
-    def test_step_models_record_each_forecasting_model(self):
+    def test_step_residuals_are_each_step_models_residuals_over_its_window(self):
+        # Reference: each step's residuals recomputed from its model and
+        # window, and the hybrid's correction from them.
         s = sine_walk(300, seed=11)
         spec = SplitSpec(200, 40, 60)
+        order, L = arima.ArimaOrder(2, 1, 1), 120
+        for refit in ("none", "arima"):
+            run = sliding_window_evaluate(s, spec, "arima", FAST, window_L=L, refit=refit,
+                                          arima_order=order)
+            hybrid = sliding_window_evaluate(s, spec, "hybrid", FAST, window_L=L, refit=refit,
+                                             arima_order=order, arima_run=run)
+            assert len(run.step_residuals) == spec.test_len
+            for j, t in enumerate(range(240, 300)):
+                window = s.slice(t - L, t)
+                model = arima.fit(window, order) if refit == "arima" else run.model
+                expected = arima.residuals(model, window)
+                assert np.array_equal(run.step_residuals[j], expected), (refit, j)
+                assert hybrid.nonlinear[j] == hybrid_mod._correction(hybrid.model, expected)
+
+    def test_zero_output_head_reduces_to_arima(self, monkeypatch):
+        def zero_head_fit(*args, **kwargs):
+            model = fit_hybrid(*args, **kwargs)
+            model.residual_net.head_w[:] = 0.0
+            model.residual_net.head_b = 0.0
+            return model
+        monkeypatch.setattr(hybrid_mod, "fit_hybrid", zero_head_fit)
+        s = sine_walk(300, seed=4)
+        spec = SplitSpec(200, 40, 60)
+        run = sliding_window_evaluate(s, spec, "arima", FAST)
+        hybrid = sliding_window_evaluate(s, spec, "hybrid", FAST, arima_run=run)
+        # the residual scale maps 0 to 0, so a zero head is a zero correction
+        assert np.all(hybrid.nonlinear == 0.0)
+        assert np.array_equal(hybrid.predictions, run.predictions)
+
+    def test_window_L_too_short_for_the_net_window_fails_the_hybrid(self):
+        # ARIMA(1,1,0) on a window of L values leaves L - 2 residuals.
+        s = sine_walk(300, seed=6)
+        spec = SplitSpec(200, 40, 60)
         order = arima.ArimaOrder(1, 1, 0)
-        base = sliding_window_evaluate(s, spec, "arima", FAST, arima_order=order)
-        assert len(base.step_models) == 60
-        assert all(m is base.model for m in base.step_models)
-        refit = sliding_window_evaluate(s, spec, "arima", FAST, refit="arima",
-                                        arima_order=order)
-        assert len(refit.step_models) == 60
-        last = arima.fit(s.slice(200 + 40 + 59 - 120, 299), order)
-        assert np.array_equal(refit.step_models[-1].ar_coeffs, last.ar_coeffs)
+        enough = FAST.window_m + 2
+        res = compare_models(s, spec, FAST, window_L=enough - 1, arima_order=order)
+        assert list(res.failures) == ["hybrid"]
+        assert isinstance(res.failures["hybrid"], DegenerateInputError)
+        assert failure_message(res.failures["hybrid"]) == (
+            "DegenerateInputError: need 10 recent residuals, got 9")
+        run = sliding_window_evaluate(s, spec, "arima", FAST, window_L=enough, arima_order=order)
+        sliding_window_evaluate(s, spec, "hybrid", FAST, window_L=enough, arima_run=run)
 
     def test_arima_run_of_another_walk_rejected(self):
         s = sine_walk(300, seed=12)
@@ -195,16 +198,24 @@ def first_causality_violation(reads, test_start, n):
 def audit_walks(base, spec, cfg):
     """Run each kind's walk on its own AuditedSeries; kind -> first violation.
 
-    The hybrid walk gets the arima kind's run, made on another copy, so its
-    audit sees only the hybrid's own reads.
+    The hybrid itself reads only train, val and each actual; its forecasts
+    also depend on the arima run it is given.  So its arima run is made on
+    the hybrid's own series, and the reads of that walk and of the hybrid's
+    are each audited, in that order.
     """
-    runs, verdicts = {}, {}
+    verdicts = {}
     for kind in MODEL_KINDS:
         s = AuditedSeries(base.timestamps, base.values, base.name)
-        runs[kind] = sliding_window_evaluate(
-            s, spec, kind, cfg, arima_run=runs["arima"] if kind == "hybrid" else None)
-        verdicts[kind] = first_causality_violation(
-            s.reads, spec.train_len + spec.val_len, spec.total)
+        walks, arima_run = [], None
+        if kind == "hybrid":
+            arima_run = sliding_window_evaluate(s, spec, "arima", cfg)
+            walks.append(s.reads[:])
+            s.reads.clear()
+        sliding_window_evaluate(s, spec, kind, cfg, arima_run=arima_run)
+        walks.append(s.reads)
+        verdicts[kind] = next(filter(None, (
+            first_causality_violation(reads, spec.train_len + spec.val_len, spec.total)
+            for reads in walks)), None)
     return verdicts
 
 

@@ -269,7 +269,7 @@ def bptt_by_gates(net, X, y):
     for li in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[li]
         H = layer.hidden_dim
-        g = layer.zeros_like()
+        g = LstmCellParams.wrap(np.zeros_like(layer.Wb))
         dh_next = np.zeros((B, H))
         dC_next = np.zeros((B, H))
         d_inputs = np.zeros((B, m, layer.input_dim))
