@@ -34,7 +34,8 @@ from scipy.optimize import minimize
 
 from . import _doc
 from .errors import FIT_FAILURES, AnalysisError, DegenerateInputError, FitError
-from .series import TimeSeries, _autocovariances, adf_test, difference
+from .series import (MAX_DIFFERENCES, TimeSeries, _autocovariances, _first_stationary,
+                     adf_test, difference)
 
 MAX_ITER = 500
 GRAD_TOL = 1e-8
@@ -91,9 +92,12 @@ class ArimaModel:
 
 @dataclass(frozen=True)
 class OrderSearchReport:
-    candidates: list = field(default_factory=list)  # (ArimaOrder, aic, converged)
-    chosen: ArimaOrder = None
-    model: ArimaModel = None  # the search's own fit of the chosen order
+    candidates: list  # (ArimaOrder, aic, converged)
+    model: ArimaModel  # the search's own fit of the chosen order
+
+    @property
+    def chosen(self) -> ArimaOrder:
+        return self.model.order
 
 
 def _ar_filter(z, phi):
@@ -165,8 +169,6 @@ def _ar_roots_outside_unit_circle(phi) -> bool:
     # z is a root of 1 - phi_1 z - ... - phi_p z^p exactly when 1/z is a root
     # of the monic z^p - phi_1 z^(p-1) - ... - phi_p.  Its companion matrix
     # holds phi itself, so it stays finite however close to 0 phi_p is.
-    if len(phi) == 0:
-        return True
     inverse_roots = np.roots(np.concatenate(([1.0], -np.asarray(phi, dtype=float))))
     return bool(np.all(np.abs(inverse_roots) < 1.0))
 
@@ -189,14 +191,12 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
 
     converged = True
     if q == 0:
-        # Exact least squares on lagged values; white noise has no coefficients.
-        phi, theta = np.zeros(0), np.zeros(0)
-        if p:
-            X = np.column_stack([z[p - 1 - i: len(z) - 1 - i] for i in range(p)])
-            phi, _, _, _ = np.linalg.lstsq(X, z[p:], rcond=None)
+        # Exact least squares on lagged values: row t of X is z_{t-1} ... z_{t-p}
+        # (no columns for white noise).
+        X = np.lib.stride_tricks.sliding_window_view(z[:-1], p)[:, ::-1]
+        phi, theta = np.linalg.lstsq(X, z[p:], rcond=None)[0], np.zeros(0)
     else:
-        phi0 = _yule_walker_ar(z, p) if p else np.zeros(0)
-        x0 = np.concatenate((phi0, np.zeros(q)))
+        x0 = np.concatenate((_yule_walker_ar(z, p), np.zeros(q)))
 
         def objective(x):
             return _css(z, x[:p], x[p:], p)
@@ -249,18 +249,13 @@ def aic(model: ArimaModel) -> float:
     return n * float(np.log(model.sigma2)) + 2 * k
 
 
-def select_order(series: TimeSeries, caps: ArimaOrder = ArimaOrder(5, 2, 5)) -> OrderSearchReport:
+def select_order(series: TimeSeries, caps=ArimaOrder(5, MAX_DIFFERENCES, 5)) -> OrderSearchReport:
     """Pick d by the ADF test, then (p,q) by AIC over the grid.
 
     Ties break toward the smallest p+q, then the smallest p, so the result is
     independent of grid evaluation order.
     """
-    d_chosen = None
-    for d in range(caps.d + 1):
-        w = difference(series, d)
-        if adf_test(w).is_stationary_5pct:
-            d_chosen = d
-            break
+    d_chosen = _first_stationary(adf_test(difference(series, d)) for d in range(caps.d + 1))
     if d_chosen is None:
         raise AnalysisError(
             f"series is not stationary after up to {caps.d} differences; "
@@ -284,7 +279,7 @@ def select_order(series: TimeSeries, caps: ArimaOrder = ArimaOrder(5, 2, 5)) -> 
             f"{len(candidates) - len(failures)} stopped without converging{first}"
         )
     chosen = min(converged, key=lambda c: (c[1], c[0].p + c[0].q, c[0].p))[0]
-    return OrderSearchReport(candidates=candidates, chosen=chosen, model=fits[chosen])
+    return OrderSearchReport(candidates=candidates, model=fits[chosen])
 
 
 def _fit_or_search(series: TimeSeries, order) -> ArimaModel:

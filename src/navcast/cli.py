@@ -11,7 +11,6 @@ import datetime
 import itertools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +29,11 @@ from .errors import (
     NavcastError,
     NumericalError,
 )
-from .hybrid import DEFAULT_WINDOW_L, SEED_OFFSETS, compare_models, failure_message, fit_hybrid
+from .hybrid import DEFAULT_WINDOW_L, _kind_config, compare_models, failure_message, fit_hybrid
 from .lstm import TrainConfig
 from .metrics import MODEL_KINDS, format_table
-from .series import SplitSpec, TimeSeries, acf, adf_test, difference, pacf, split
+from .series import (MAX_DIFFERENCES, SplitSpec, TimeSeries, _first_stationary, acf, adf_test,
+                     difference, pacf, split)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -154,18 +154,15 @@ def cmd_analyze(series: TimeSeries, out_dir: Path, max_lag: int = 20) -> dict:
 
     All are computed before `out_dir` is created, so a failure writes nothing.
     """
-    adf = {}
-    stationary_d = None
-    for d in range(3):
-        w = difference(series, d)
-        res = adf_test(w)
-        adf[str(d)] = _adf_payload(res)
-        if stationary_d is None and res.is_stationary_5pct:
-            stationary_d = d
+    diffs, results = [], []
+    for d in range(MAX_DIFFERENCES + 1):
+        diffs.append(difference(series, d))
+        results.append(adf_test(diffs[d]))
+    adf = {str(d): _adf_payload(res) for d, res in enumerate(results)}
+    stationary_d = _first_stationary(results)
     d_used = stationary_d if stationary_d is not None else 1
-    w = difference(series, d_used)
+    w = diffs[d_used]
     correlograms = (("acf.csv", acf(w, max_lag)), ("pacf.csv", pacf(w, max_lag)))
-    diff1 = difference(series, 1)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "adf.json").write_text(json.dumps(adf, indent=2) + "\n", encoding="utf-8")
@@ -176,7 +173,7 @@ def cmd_analyze(series: TimeSeries, out_dir: Path, max_lag: int = 20) -> dict:
                 fh.write(f"{pt.lag},{float(pt.value)!r},{float(pt.confidence_bound)!r}\n")
     with open(out_dir / "diff.csv", "w", encoding="utf-8") as fh:
         fh.write("date,value\n")
-        for ts, v in zip(series.timestamps[1:], diff1):
+        for ts, v in zip(series.timestamps[1:], diffs[1]):
             fh.write(f"{ts.isoformat()},{float(v)!r}\n")
     return {"adf": adf, "stationary_d": stationary_d, "correlogram_d": d_used}
 
@@ -201,7 +198,7 @@ def cmd_fit_hybrid(series: TimeSeries, spec: SplitSpec, order, cfg: TrainConfig,
     the hybrid's, so for the same flags it writes compare's models/."""
     train, val, _ = split(series, spec)
     model = fit_hybrid(train, val, arima_mod._fit_or_search(train, order),
-                       replace(cfg, seed=cfg.seed + SEED_OFFSETS["hybrid"]))
+                       _kind_config(cfg, "hybrid"))
     _write_models(out_dir, model.arima, model.residual_net)
     summary = {
         "arima_order": [model.arima.order.p, model.arima.order.d, model.arima.order.q],
@@ -395,9 +392,9 @@ def _main(argv) -> int:
 
         series = ingest_csv(args.input)
         if args.command == "analyze":
-            info = cmd_analyze(series, out_dir, max_lag=args.max_lag)
-            d = info["stationary_d"]
-            print(f"stationary at d={d}" if d is not None else "not stationary for d<=2")
+            d = cmd_analyze(series, out_dir, max_lag=args.max_lag)["stationary_d"]
+            print(f"stationary at d={d}" if d is not None
+                  else f"not stationary for d<={MAX_DIFFERENCES}")
             return EXIT_OK
         if args.command == "fit-arima":
             model = cmd_fit_arima(series, args.order, out_dir)

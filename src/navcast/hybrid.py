@@ -60,6 +60,11 @@ class EvalRun:
     step_residuals: tuple = ()
 
 
+def _kind_config(cfg: TrainConfig, kind: str) -> TrainConfig:
+    """cfg as model kind `kind` trains with it: its seed moved by the kind's offset."""
+    return replace(cfg, seed=cfg.seed + SEED_OFFSETS[kind])
+
+
 def _train_net(stream, n_train: int, scale: ScaleParams, cfg: TrainConfig):
     """Train a fresh net, seeded by cfg.seed, on the windows of stream[:n_train].
 
@@ -152,7 +157,9 @@ def sliding_window_evaluate(
     trains on the training fit of `arima_run`, an arima run of the same
     series, split and window_L, takes that run's forecasts as its linear part
     and adds only its residual correction, read off that run's per-step
-    residuals.  It evaluates an arima run itself when none is given.
+    residuals.  So it takes its ARIMA order and refit policy from that run;
+    `arima_order` and `refit` apply only when no run is given and it
+    evaluates one itself.
     """
     if kind not in MODEL_KINDS:
         raise ConfigurationError(f"unknown model kind {kind!r}")
@@ -202,6 +209,11 @@ def sliding_window_evaluate(
         elif (arima_run.window_L, arima_run.timestamps) != (
                 window_L, series.timestamps[test_start:n]):
             raise ConfigurationError("arima_run was evaluated on another test walk")
+        elif arima_run.model_kind != "arima":
+            raise ConfigurationError(f"arima_run is a run of the {arima_run.model_kind} kind")
+        elif arima_run.model.n_obs != spec.train_len:
+            raise ConfigurationError(f"arima_run was fitted on {arima_run.model.n_obs} values, "
+                                     f"not on the {spec.train_len}-value training segment")
         fitted = fit_hybrid(train, val, arima_run.model, cfg)
         linear = arima_run.predictions.copy()
         nonlinear = np.empty(spec.test_len)
@@ -258,10 +270,9 @@ def compare_models(
         if kind == "hybrid" and "arima" in failures:
             failures[kind] = failures["arima"]
             continue
-        kind_cfg = replace(cfg, seed=cfg.seed + SEED_OFFSETS[kind])
         try:
             runs[kind] = sliding_window_evaluate(
-                series, spec, kind, kind_cfg,
+                series, spec, kind, _kind_config(cfg, kind),
                 window_L=window_L, refit=refit, arima_order=arima_order,
                 arima_run=runs["arima"] if kind == "hybrid" else None,
             )

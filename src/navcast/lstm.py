@@ -227,6 +227,11 @@ def _forward_batch(net: LstmNetwork, X: np.ndarray, want_cache: bool = False):
     tanh(C_t)) and the top layer's last output, which backpropagation needs.
     """
     B, m = X.shape
+    if net.layers[0].input_dim != 1:
+        raise ConfigurationError("the network reads one value per step, but its first layer "
+                                 f"takes {net.layers[0].input_dim}")
+    if m == 0:
+        raise ConfigurationError("a window needs at least one value")
     xs = [X[:, t] for t in range(m)]
     cache = []
     for layer in net.layers:
@@ -256,7 +261,8 @@ def _forward_batch(net: LstmNetwork, X: np.ndarray, want_cache: bool = False):
 
 @_blas.single_threaded()
 def forward(net: LstmNetwork, window) -> float:
-    """Run one window of length m through the stack; zero initial states."""
+    """Run one window of length m >= 1 through the stack, one value per step;
+    zero initial states."""
     w = np.asarray(window, dtype=float).reshape(1, -1)
     return float(_forward_batch(net, w)[0])
 
@@ -274,6 +280,8 @@ def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
     if X.ndim != 2 or len(X) == 0:
         raise ConfigurationError("batch must be a nonempty (B, m) array")
     B, m = X.shape
+    if y.shape != (B,):
+        raise ConfigurationError(f"{B} windows need {B} targets, got an array of shape {y.shape}")
     preds, (cache, h_last) = _forward_batch(net, X, want_cache=True)
     err = preds - y
     loss = float(err @ err) / B
@@ -434,7 +442,9 @@ def deserialize(text: str) -> LstmNetwork:
                 else payload[(li, name)] for name in PARAM_FIELDS}))
         net = LstmNetwork(layers=layers, head_w=np.array([float(v) for v in rest["head_w"]]),
                           head_b=float(rest["head_b"][0]))
+        net.check()
     except (KeyError, IndexError) as exc:
         raise ValueError(f"lstm-network document lacks field {exc}") from exc
-    net.check()
+    except ConfigurationError as exc:
+        raise ValueError(f"lstm-network document is inconsistent: {exc}") from exc
     return net

@@ -17,6 +17,7 @@ from .errors import ConfigurationError, DegenerateInputError, NumericalError
 # Large-sample critical values for the Dickey-Fuller distribution,
 # constant-only regression (no deterministic trend).
 ADF_CRITICAL_VALUES = {0.01: -3.43, 0.05: -2.86, 0.10: -2.57}
+MAX_DIFFERENCES = 2  # the most differences the stationarity rule tries
 
 
 @dataclass(frozen=True)
@@ -135,10 +136,12 @@ def difference(series: TimeSeries, d: int) -> np.ndarray:
     vals = series.values
     if len(vals) <= d:
         raise DegenerateInputError(f"series of length {len(vals)} cannot be differenced {d} times")
-    out = vals.copy()
-    for _ in range(d):
-        out = np.diff(out)
-    return out
+    return np.diff(vals, d) if d else vals.copy()
+
+
+def _first_stationary(adf_results) -> int | None:
+    """The index d of the first ADF result that rejects at 5%, or None; reads no further."""
+    return next((d for d, res in enumerate(adf_results) if res.is_stationary_5pct), None)
 
 
 def _autocovariances(x, max_lag: int) -> np.ndarray:

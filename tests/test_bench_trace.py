@@ -1,8 +1,8 @@
-"""The benchmark's outside-in tracer, run in-process around one small compare.
+"""The benchmark's outside-in tracer, run in-process around small CLI calls.
 
 `bench/spans.py` wraps every public navcast function; these tests read its
-spans to pin how often each layer runs per `compare` and check that
-`Tracer.restore` leaves every navcast name as it was.
+spans to pin how often each layer runs per `compare` and per `fit-arima`, and
+check that `Tracer.restore` leaves every navcast name as it was.
 """
 
 import importlib.util
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import navcast.arima as arima_mod
 from navcast.cli import EXIT_OK, generate_synthetic, main, write_series_csv
 from navcast.series import SplitSpec
 
@@ -38,21 +39,20 @@ def navcast_functions():
 
 
 @pytest.fixture
-def traced_compare(tmp_path):
-    """Run one compare under the tracer; returns (spans, names of a span's parent)."""
+def traced_main():
+    """Run `navcast.cli.main(argv)` under the tracer; yields (run, the spans module).
+
+    run(argv) returns the recorded spans.  On teardown every navcast name must
+    be bound as it was before.
+    """
     spans_mod = load_spans()
-    csv = tmp_path / "series.csv"
-    write_series_csv(csv, generate_synthetic(
-        "linear-plus-sine", N, {"sigma": 0.03, "amplitude": 0.3, "period": 25}, seed=3))
     before = navcast_functions()
 
-    def run(*extra):
+    def run(argv):
         tracer = spans_mod.Tracer()
         tracer.install()
         try:
-            code = main(["compare", "--input", str(csv), "--out", str(tmp_path / "out"),
-                         "--epochs", "5", "--layers", "1", "--hidden", "8",
-                         "--window-m", "10", "--batch", "32", *extra])
+            code = main(argv)
         finally:
             tracer.restore()
         assert code == EXIT_OK
@@ -62,6 +62,22 @@ def traced_compare(tmp_path):
     after = navcast_functions()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+@pytest.fixture
+def traced_compare(tmp_path, traced_main):
+    """Run one compare under the tracer; returns (run, the spans module)."""
+    run_main, spans_mod = traced_main
+    csv = tmp_path / "series.csv"
+    write_series_csv(csv, generate_synthetic(
+        "linear-plus-sine", N, {"sigma": 0.03, "amplitude": 0.3, "period": 25}, seed=3))
+
+    def run(*extra):
+        return run_main(["compare", "--input", str(csv), "--out", str(tmp_path / "out"),
+                         "--epochs", "5", "--layers", "1", "--hidden", "8",
+                         "--window-m", "10", "--batch", "32", *extra])
+
+    return run, spans_mod
 
 
 def count(spans, name):
@@ -83,6 +99,18 @@ def test_fixed_order_refit_compare_fits_and_forecasts_once_per_step(traced_compa
     # each step's residuals off the arima run
     assert count(spans, "arima.residuals") == 1
     assert count(spans, "lstm.train") == 2
+
+
+@pytest.mark.parametrize("kind, d", [("ar1", 0), ("random-walk", 1)])
+def test_the_order_search_tests_no_d_past_the_first_stationary_one(traced_main, tmp_path,
+                                                                  kind, d):
+    run, _ = traced_main
+    csv = tmp_path / "series.csv"
+    write_series_csv(csv, generate_synthetic(kind, N, {}, seed=3))
+    spans = run(["fit-arima", "--input", str(csv), "--out", str(tmp_path / "out")])
+    text = (tmp_path / "out" / "models" / "arima.txt").read_text(encoding="utf-8")
+    assert arima_mod.deserialize(text).order.d == d
+    assert count(spans, "series.adf_test") == d + 1
 
 
 def test_auto_order_search_runs_inside_the_arima_evaluation(traced_compare):

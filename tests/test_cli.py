@@ -185,6 +185,14 @@ class TestAnalyzeCommand:
         adf = json.loads((out / "adf.json").read_text())
         assert adf["0"]["is_stationary_5pct"] is True
 
+    @pytest.mark.parametrize("kind, params, d", [
+        ("random-walk", {"sigma": 0.02}, 1), ("ar1", {}, 0),
+        ("linear-plus-sine", {"sigma": 0.03, "amplitude": 0.3, "period": 25}, 1)])
+    def test_stationary_d_is_the_order_search_d(self, tmp_path, kind, params, d):
+        s = generate_synthetic(kind, 300, params, seed=11)
+        assert cli_mod.cmd_analyze(s, tmp_path / "out")["stationary_d"] == d
+        assert arima_mod.select_order(s).chosen.d == d
+
     @pytest.mark.parametrize("max_lag, code", [("-1", EXIT_USAGE), ("150", EXIT_ANALYSIS)])
     def test_a_failing_correlogram_writes_nothing(self, tmp_path, capsys, max_lag, code):
         # -1 is a usage error; 150 lags of a 199-point differenced series

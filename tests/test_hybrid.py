@@ -152,6 +152,22 @@ class TestSlidingWindowEvaluate:
         with pytest.raises(ConfigurationError):
             sliding_window_evaluate(s, spec, "hybrid", FAST, arima_run=run)
 
+    def test_a_run_of_another_kind_is_not_an_arima_run(self):
+        s = sine_walk(300, seed=12)
+        spec = SplitSpec(200, 40, 60)
+        run = sliding_window_evaluate(s, spec, "lstm", FAST)
+        with pytest.raises(ConfigurationError, match="a run of the lstm kind"):
+            sliding_window_evaluate(s, spec, "hybrid", FAST, arima_run=run)
+
+    def test_arima_run_fitted_on_another_training_segment_rejected(self):
+        # Same test walk, but the run's fit saw 50 of the hybrid's 90
+        # validation days.
+        s = sine_walk(300, seed=12)
+        run = sliding_window_evaluate(s, SplitSpec(200, 40, 60), "arima", FAST,
+                                      arima_order=arima.ArimaOrder(1, 1, 0))
+        with pytest.raises(ConfigurationError, match="fitted on 200 values"):
+            sliding_window_evaluate(s, SplitSpec(150, 90, 60), "hybrid", FAST, arima_run=run)
+
     def test_unknown_kind(self):
         s = sine_walk(300, seed=12)
         with pytest.raises(ConfigurationError):

@@ -219,6 +219,19 @@ class TestForward:
             expected = inputs[-1] @ net.head_w + net.head_b
             assert batched[b] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
+    def test_a_net_reading_several_values_per_step_is_refused(self, rng):
+        # The kernel feeds one value per step; a wider first layer would get
+        # that value copied into each of its input slots.
+        net = init_network(2, 3, 1, rng)
+        with pytest.raises(ConfigurationError, match="one value per step"):
+            forward(net, rng.normal(size=5))
+        with pytest.raises(ConfigurationError, match="one value per step"):
+            bptt_gradients(net, rng.normal(size=(4, 5)), rng.normal(size=4))
+
+    def test_an_empty_window_is_refused(self, rng):
+        with pytest.raises(ConfigurationError, match="at least one value"):
+            forward(init_network(1, 3, 1, rng), [])
+
     def test_golden_regression_value(self):
         # frozen at build time from a seeded net and window
         rng = np.random.default_rng(2024)
@@ -380,6 +393,12 @@ class TestBpttGradients:
         net = init_network(1, 3, 1, rng)
         with pytest.raises(ConfigurationError):
             bptt_gradients(net, np.empty((0, 4)), np.empty(0))
+
+    @pytest.mark.parametrize("y_shape", [(1,), (3,), (4, 1)])
+    def test_targets_must_match_the_batch(self, rng, y_shape):
+        net = init_network(1, 3, 1, rng)
+        with pytest.raises(ConfigurationError, match="4 windows need 4 targets"):
+            bptt_gradients(net, rng.normal(size=(4, 5)), np.full(y_shape, 0.3))
 
     @given(n_layers=st.integers(1, 3), hidden=st.integers(1, 6), m=st.integers(1, 8),
            batch=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -551,7 +570,11 @@ class TestSerialization:
         lambda t: "\n".join(l for l in t.splitlines() if not l.startswith("param 1 b_o")),
         lambda t: "\n".join(l for l in t.splitlines() if not l.startswith("head_w")),
         lambda t: "\n".join(l for l in t.splitlines() if not l.startswith("head_b")),
-    ], ids=["empty", "v2", "other-kind", "no-layers", "no-layer-1", "no-param-1-b_o", "no-head_w", "no-head_b"])
+        lambda t: t.replace("layers 2\n", "layers 0\n"),
+        lambda t: "\n".join(l.rsplit(" ", 1)[0] if l.startswith("head_w") else l
+                            for l in t.splitlines()),
+    ], ids=["empty", "v2", "other-kind", "no-layers", "no-layer-1", "no-param-1-b_o", "no-head_w",
+            "no-head_b", "zero-layers", "short-head_w"])
     def test_malformed_document_raises_value_error(self, edit):
         text = edit(V1_DOCUMENT.read_text(encoding="utf-8"))
         with pytest.raises(ValueError):
