@@ -59,6 +59,9 @@ class ArimaOrder:
         return f"({self.p},{self.d},{self.q})"
 
 
+SEARCH_CAPS = ArimaOrder(5, MAX_DIFFERENCES, 5)  # the order search's grid, bounds included
+
+
 @dataclass(frozen=True)
 class ArimaModel:
     order: ArimaOrder
@@ -249,21 +252,22 @@ def aic(model: ArimaModel) -> float:
     return n * float(np.log(model.sigma2)) + 2 * k
 
 
-def select_order(series: TimeSeries, caps=ArimaOrder(5, MAX_DIFFERENCES, 5)) -> OrderSearchReport:
-    """Pick d by the ADF test, then (p,q) by AIC over the grid.
+def select_order(series: TimeSeries) -> OrderSearchReport:
+    """Pick d by the ADF test, then (p,q) by AIC over the grid SEARCH_CAPS:
+    p <= 5, d <= MAX_DIFFERENCES, q <= 5.
 
     Ties break toward the smallest p+q, then the smallest p, so the result is
     independent of grid evaluation order.
     """
-    d_chosen = _first_stationary(adf_test(difference(series, d)) for d in range(caps.d + 1))
+    d_chosen = _first_stationary(adf_test(difference(series, d)) for d in range(SEARCH_CAPS.d + 1))
     if d_chosen is None:
         raise AnalysisError(
-            f"series is not stationary after up to {caps.d} differences; "
+            f"series is not stationary after up to {SEARCH_CAPS.d} differences; "
             "unsuitable for ARIMA modelling"
         )
     candidates, fits, failures = [], {}, []
-    for p in range(caps.p + 1):
-        for q in range(caps.q + 1):
+    for p in range(SEARCH_CAPS.p + 1):
+        for q in range(SEARCH_CAPS.q + 1):
             order = ArimaOrder(p, d_chosen, q)
             try:
                 fits[order] = fit(series, order)

@@ -119,6 +119,9 @@ class LstmNetwork:
             prev_out = layer.hidden_dim
         if self.head_w.shape != (prev_out,):
             raise ConfigurationError("output head width does not match top layer")
+        for name in ("head_w", "head_b"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise NumericalError(f"{name} contains non-finite entries")
 
 
 @dataclass
@@ -134,8 +137,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.layers, self.hidden_dim, self.window_m) <= 0:
             raise ConfigurationError("all TrainConfig sizes must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigurationError("learning rate must be finite and positive")
 
 
 @dataclass
@@ -226,6 +229,8 @@ def _forward_batch(net: LstmNetwork, X: np.ndarray, want_cache: bool = False):
     and, when requested, each layer's per-step (a_t, gates, C_{t-1},
     tanh(C_t)) and the top layer's last output, which backpropagation needs.
     """
+    if X.ndim != 2 or len(X) == 0:
+        raise ConfigurationError(f"a batch must be a nonempty (B, m) array, got shape {X.shape}")
     B, m = X.shape
     if net.layers[0].input_dim != 1:
         raise ConfigurationError("the network reads one value per step, but its first layer "
@@ -263,8 +268,7 @@ def _forward_batch(net: LstmNetwork, X: np.ndarray, want_cache: bool = False):
 def forward(net: LstmNetwork, window) -> float:
     """Run one window of length m >= 1 through the stack, one value per step;
     zero initial states."""
-    w = np.asarray(window, dtype=float).reshape(1, -1)
-    return float(_forward_batch(net, w)[0])
+    return float(_forward_batch(net, np.asarray(window, dtype=float)[None])[0])
 
 
 @_blas.single_threaded()
@@ -277,12 +281,10 @@ def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or len(X) == 0:
-        raise ConfigurationError("batch must be a nonempty (B, m) array")
+    preds, (cache, h_last) = _forward_batch(net, X, want_cache=True)
     B, m = X.shape
     if y.shape != (B,):
         raise ConfigurationError(f"{B} windows need {B} targets, got an array of shape {y.shape}")
-    preds, (cache, h_last) = _forward_batch(net, X, want_cache=True)
     err = preds - y
     loss = float(err @ err) / B
 
@@ -445,6 +447,6 @@ def deserialize(text: str) -> LstmNetwork:
         net.check()
     except (KeyError, IndexError) as exc:
         raise ValueError(f"lstm-network document lacks field {exc}") from exc
-    except ConfigurationError as exc:
+    except (ConfigurationError, NumericalError) as exc:
         raise ValueError(f"lstm-network document is inconsistent: {exc}") from exc
     return net

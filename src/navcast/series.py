@@ -210,26 +210,25 @@ def adf_test(values) -> AdfResult:
     t0 = max_lag + 1
     lhs = dy[t0 - 1:]
     neff = len(lhs)
-    X_all = np.column_stack([np.ones_like(lhs), y[t0 - 1:-1]]
-                            + [dy[t0 - 1 - i:-i] for i in range(1, max_lag + 1)])
-    best = None
-    for lag in range(max_lag + 1):
-        X = X_all[:, :lag + 2]
-        coef, _, rank, _ = np.linalg.lstsq(X, lhs, rcond=None)
-        if rank < X.shape[1]:
-            raise NumericalError("rank-deficient ADF regression: collinear regressors, "
-                                 "or values too large for the least-squares rank tolerance")
-        resid = lhs - X @ coef
-        rss = float(resid @ resid)
-        if rss <= 0.0:
-            raise NumericalError("degenerate ADF regression (zero residual sum)")
-        aic = neff * np.log(rss / neff) + 2 * X.shape[1]
-        if best is None or aic < best[0]:
-            best = (aic, lag, coef, rss)
-    # Only the chosen lag's t-statistic is reported.
-    _, lag, coef, rss = best
+    A = np.column_stack([np.ones_like(lhs), y[t0 - 1:-1]]
+                        + [dy[t0 - 1 - i:-i] for i in range(1, max_lag + 1)] + [lhs])
+    X_all = A[:, :-1]
+    # matrix_rank uses lstsq's tolerance, and dropping columns only raises sigma_min and
+    # lowers sigma_max: X_all is full rank exactly when every lag's regression is.
+    if np.linalg.matrix_rank(X_all) < X_all.shape[1]:
+        raise NumericalError("rank-deficient ADF regression: collinear regressors, "
+                             "or values too large for the least-squares rank tolerance")
+    # One QR for every lag: with r the last column of R in A = [X_all | lhs] = QR, the
+    # regression on the first c columns leaves RSS = sum_{i >= c} r_i^2 (Golub & Van Loan 5.3).
+    r = np.linalg.qr(A, mode="r")[:, -1]
+    rss_by_lag = np.cumsum(r[::-1] ** 2)[::-1][2:]
+    if rss_by_lag[-1] <= 0.0:  # the full regression's RSS bounds every lag's from below
+        raise NumericalError("degenerate ADF regression (zero residual sum)")
+    lag = int(np.argmin(neff * np.log(rss_by_lag / neff) + 2 * np.arange(2, max_lag + 3)))
     X = X_all[:, :lag + 2]
-    sigma2 = rss / (neff - X.shape[1])
+    coef = np.linalg.lstsq(X, lhs, rcond=None)[0]
+    resid = lhs - X @ coef
+    sigma2 = float(resid @ resid) / (neff - X.shape[1])
     se = np.sqrt(sigma2 * np.linalg.inv(X.T @ X)[1, 1])
     return AdfResult(statistic=float(coef[1] / se), lag_used=lag)
 

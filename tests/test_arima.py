@@ -165,11 +165,12 @@ class TestSelectOrder:
         s = as_series(2.0 + random_walk(1260, seed=7, sigma=0.02))
         assert select_order(s).chosen.d == 1
 
-    def test_white_noise_majority_000(self):
+    def test_white_noise_majority_000(self, monkeypatch):
+        monkeypatch.setattr(arima, "SEARCH_CAPS", ArimaOrder(2, 1, 2))
         hits = 0
         for seed in range(50):
             s = as_series(np.random.default_rng(seed).normal(size=1000))
-            ch = select_order(s, ArimaOrder(2, 1, 2)).chosen
+            ch = select_order(s).chosen
             hits += (ch.p, ch.d, ch.q) == (0, 0, 0)
         assert hits > 25
 
@@ -184,7 +185,7 @@ class TestSelectOrder:
             hits += (ch.p, ch.d, ch.q) == (1, 0, 0)
         assert hits >= 35
 
-    def test_a_fit_stuck_at_its_start_is_not_converged(self):
+    def test_a_fit_stuck_at_its_start_is_not_converged(self, monkeypatch):
         # The AR(1) test's seed 2: ARIMA(0,0,5) from theta = 0 stops after one
         # iteration with CSS = z'z, so the search must not count it.
         s = as_series(simulate_ar1(0.6, 2000, seed=2))
@@ -199,7 +200,8 @@ class TestSelectOrder:
         assert read_back.converged is True
         assert_same_model(read_back, m)
         assert fit(s, ArimaOrder(1, 0, 1)).converged is True
-        report = select_order(s, ArimaOrder(1, 0, 5))
+        monkeypatch.setattr(arima, "SEARCH_CAPS", ArimaOrder(1, 0, 5))
+        report = select_order(s)
         flags = {order: ok for order, _, ok in report.candidates}
         assert flags[ArimaOrder(0, 0, 5)] is False
         assert flags[ArimaOrder(1, 0, 0)] is True
@@ -212,8 +214,9 @@ class TestSelectOrder:
         def overflowing_with_ma(z, phi, theta):
             return np.full(len(z), 1e160) if len(theta) else arma_residuals(z, phi, theta)
         monkeypatch.setattr(arima, "_arma_residuals", overflowing_with_ma)
+        monkeypatch.setattr(arima, "SEARCH_CAPS", ArimaOrder(1, 0, 1))
         s = as_series(simulate_ar1(0.6, 300, seed=0))
-        report = select_order(s, ArimaOrder(1, 0, 1))
+        report = select_order(s)
         flags = {order: (value, ok) for order, value, ok in report.candidates}
         assert flags[ArimaOrder(0, 0, 1)] == (float("inf"), False)
         assert flags[ArimaOrder(1, 0, 1)] == (float("inf"), False)
@@ -223,29 +226,33 @@ class TestSelectOrder:
         # The ADF regression refuses values this large (its constant column
         # falls below the rank tolerance), so d = 0 is given here.
         monkeypatch.setattr(arima, "adf_test", lambda w: SimpleNamespace(is_stationary_5pct=True))
+        monkeypatch.setattr(arima, "SEARCH_CAPS", ArimaOrder(1, 0, 1))
         values = 1e160 * np.random.default_rng(17).normal(size=60)
         with pytest.raises(AnalysisError, match="no ARIMA candidate converged"):
-            select_order(as_series(values), ArimaOrder(1, 0, 1))
+            select_order(as_series(values))
 
-    def test_chosen_minimal_aic_with_tiebreak(self):
+    def test_chosen_minimal_aic_with_tiebreak(self, monkeypatch):
+        monkeypatch.setattr(arima, "SEARCH_CAPS", ArimaOrder(2, 0, 2))
         s = as_series(simulate_ar1(0.6, 600, seed=8))
-        report = select_order(s, ArimaOrder(2, 0, 2))
+        report = select_order(s)
         converged = [c for c in report.candidates if c[2]]
         best = min(converged, key=lambda c: (c[1], c[0].p + c[0].q, c[0].p))
         assert report.chosen == best[0]
 
-    def test_grid_order_invariance(self):
+    def test_grid_order_invariance(self, monkeypatch):
         # Deterministic tie-break: two runs agree (grid is iterated the same
         # way, so this checks determinism of the whole search).
+        monkeypatch.setattr(arima, "SEARCH_CAPS", ArimaOrder(2, 1, 2))
         s = as_series(simulate_ar1(0.3, 500, seed=9))
-        r1 = select_order(s, ArimaOrder(2, 1, 2))
-        r2 = select_order(s, ArimaOrder(2, 1, 2))
+        r1 = select_order(s)
+        r2 = select_order(s)
         assert r1.chosen == r2.chosen
 
-    def test_report_model_is_the_chosen_fit_bitwise(self):
+    def test_report_model_is_the_chosen_fit_bitwise(self, monkeypatch):
+        monkeypatch.setattr(arima, "SEARCH_CAPS", ArimaOrder(3, 1, 3))
         s = as_series(2.0 + random_walk(400, seed=11, sigma=0.02)
                       + 0.1 * np.sin(np.arange(400) / 4))
-        report = select_order(s, ArimaOrder(3, 1, 3))
+        report = select_order(s)
         assert report.chosen.q > 0  # an optimizer fit, not a closed form
         ref = fit(s, report.chosen)
         assert report.model.order == report.chosen

@@ -424,6 +424,18 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert not (out / "models").exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_a_non_finite_learning_rate_is_a_usage_error(self, tmp_path, capsys, lr):
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 200, seed=0))
+        out = tmp_path / "o"
+        code = main(["fit-hybrid", "--input", str(csv), "--out", str(out),
+                     "--order", "1,1,0", "--lr", lr, "--epochs", "2",
+                     "--layers", "1", "--hidden", "4"])
+        assert code == EXIT_USAGE
+        assert "learning rate must be finite and positive" in capsys.readouterr().err
+        assert not (out / "models").exists()
+
     def test_compare_window_L_below_one_trains_nothing(self, tmp_path, monkeypatch):
         trainings = []
         original = lstm_mod.train

@@ -184,6 +184,14 @@ class TestGateMajorLayout:
         with pytest.raises(NumericalError, match=rf"^{name} contains non-finite entries$"):
             net.check()
 
+    @pytest.mark.parametrize("name, value", [("head_w", np.array([0.0, 0.0, np.inf])),
+                                             ("head_b", np.nan)])
+    def test_check_covers_the_output_head(self, rng, name, value):
+        net = init_network(1, 3, 2, rng)
+        setattr(net, name, value)
+        with pytest.raises(NumericalError, match=rf"^{name} contains non-finite entries$"):
+            net.check()
+
 
 class TestForward:
     def test_zero_net_outputs_bias(self, rng):
@@ -231,6 +239,11 @@ class TestForward:
     def test_an_empty_window_is_refused(self, rng):
         with pytest.raises(ConfigurationError, match="at least one value"):
             forward(init_network(1, 3, 1, rng), [])
+
+    @pytest.mark.parametrize("shape", [(), (3, 4), (1, 5), (2, 2, 2)])
+    def test_a_window_that_is_not_one_dimensional_is_refused(self, rng, shape):
+        with pytest.raises(ConfigurationError, match=r"\(B, m\) array"):
+            forward(init_network(1, 3, 1, rng), np.ones(shape))
 
     def test_golden_regression_value(self):
         # frozen at build time from a seeded net and window
@@ -515,6 +528,11 @@ class TestTrain:
         train(net, linear_recurrence_windows(), cfg)
         assert sizes and set(sizes) == {3 + 2}
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan, np.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            TrainConfig(learning_rate=lr)
+
     def test_defaults_match_stated_hyperparameters(self):
         cfg = TrainConfig()
         assert cfg.learning_rate == 0.005
@@ -573,8 +591,10 @@ class TestSerialization:
         lambda t: t.replace("layers 2\n", "layers 0\n"),
         lambda t: "\n".join(l.rsplit(" ", 1)[0] if l.startswith("head_w") else l
                             for l in t.splitlines()),
+        lambda t: t.replace("head_b -0.125", "head_b nan"),
+        lambda t: t.replace("param 1 W_f 0.0063460043653981169", "param 1 W_f nan"),
     ], ids=["empty", "v2", "other-kind", "no-layers", "no-layer-1", "no-param-1-b_o", "no-head_w",
-            "no-head_b", "zero-layers", "short-head_w"])
+            "no-head_b", "zero-layers", "short-head_w", "nan-head_b", "nan-layer-weight"])
     def test_malformed_document_raises_value_error(self, edit):
         text = edit(V1_DOCUMENT.read_text(encoding="utf-8"))
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from navcast.errors import ConfigurationError, DegenerateInputError, NumericalError
+from navcast.errors import ConfigurationError, DegenerateInputError, NavcastError, NumericalError
 from navcast.series import (
     SplitSpec,
     TimeSeries,
@@ -16,6 +18,53 @@ from navcast.series import (
 )
 from navcast.cli import generate_synthetic
 from conftest import as_series, random_walk, simulate_ar1, simulate_ar2
+
+
+def adf_by_lag(values):
+    """Reference ADF lag search: one least-squares fit per candidate lag, the
+    first AIC minimum kept.  Returns (statistic, lag_used)."""
+    y = np.asarray(values, dtype=float)
+    n = len(y)
+    if n < 20:
+        raise DegenerateInputError(f"ADF test needs at least 20 observations, got {n}")
+    max_lag = min(int(np.floor(12.0 * (n / 100.0) ** 0.25)), n // 2 - 2)
+    dy = np.diff(y)
+    t0 = max_lag + 1
+    lhs = dy[t0 - 1:]
+    neff = len(lhs)
+    X_all = np.column_stack([np.ones_like(lhs), y[t0 - 1:-1]]
+                            + [dy[t0 - 1 - i:-i] for i in range(1, max_lag + 1)])
+    best = None
+    for lag in range(max_lag + 1):
+        X = X_all[:, :lag + 2]
+        coef, _, rank, _ = np.linalg.lstsq(X, lhs, rcond=None)
+        if rank < X.shape[1]:
+            raise NumericalError("rank-deficient ADF regression")
+        resid = lhs - X @ coef
+        rss = float(resid @ resid)
+        if rss <= 0.0:
+            raise NumericalError("degenerate ADF regression (zero residual sum)")
+        aic = neff * np.log(rss / neff) + 2 * X.shape[1]
+        if best is None or aic < best[0]:
+            best = (aic, lag, coef, rss)
+    _, lag, coef, rss = best
+    X = X_all[:, :lag + 2]
+    se = np.sqrt(rss / (neff - X.shape[1]) * np.linalg.inv(X.T @ X)[1, 1])
+    return float(coef[1] / se), lag
+
+
+def adf_outcome(test, values):
+    """(statistic.hex(), lag) of an ADF test, or the type of the error it raises."""
+    try:
+        statistic, lag = test(values)
+    except NavcastError as exc:
+        return type(exc)
+    return statistic.hex(), lag
+
+
+def adf_by_qr(values):
+    res = adf_test(values)
+    return res.statistic, res.lag_used
 
 
 class TestTimeSeries:
@@ -156,6 +205,34 @@ class TestAdf:
         values, statistic, lag = self.PINNED[name]
         res = adf_test(values)
         assert (res.statistic.hex(), res.lag_used) == (statistic, lag)
+
+    # Near-tie AICs are where reading each lag's RSS off one QR, rather than
+    # off its own fit, could choose another lag: every case must match bitwise.
+    @pytest.mark.parametrize("kind", ["random-walk", "ar1", "linear-plus-sine"])
+    @pytest.mark.parametrize("n", [20, 21, 60, 250, 1000, 2000])
+    def test_matches_the_per_lag_search_on_synthetic_series(self, kind, n):
+        for seed in range(4):
+            series = generate_synthetic(kind, max(n, 30), seed=seed).slice(0, n)
+            for d in range(3):
+                values = difference(series, d)
+                assert adf_outcome(adf_by_qr, values) == adf_outcome(adf_by_lag, values), (seed, d)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 1500), walk=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_lag_search_on_drawn_series(self, seed, n, walk):
+        x = np.random.default_rng(seed).normal(size=n)
+        values = np.cumsum(x) if walk else x
+        assert adf_outcome(adf_by_qr, values) == adf_outcome(adf_by_lag, values)
+
+    @pytest.mark.parametrize("values", [
+        1e160 * np.random.default_rng(17).normal(size=60),
+        0.5 * np.arange(100.0) + 3.0,
+        np.full(50, 2.0),
+        np.arange(10.0),
+    ], ids=["scaled-1e160", "linear-ramp", "constant", "too-short"])
+    def test_refuses_what_the_per_lag_search_refuses(self, values):
+        outcome = adf_outcome(adf_by_qr, values)
+        assert isinstance(outcome, type) and outcome == adf_outcome(adf_by_lag, values)
 
     def test_mean_reversion_does_not_flip_verdict(self):
         # Appending strongly mean-reverting data must not make a stationary
