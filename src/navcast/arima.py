@@ -12,7 +12,14 @@ Estimation conventions:
 * fits with MA terms minimize it by L-BFGS-B from Yule-Walker AR and zero MA
   starts, with phi in [-10, 10], theta in [-0.99, 0.99] and the exact CSS
   gradient (two solves on one band per evaluation, one of them backwards in
-  time, see `_css`).
+  time, see `_css_objective`).
+
+`fit` drives scipy's L-BFGS-B routine (the reverse-communication `setulb`
+that scipy.optimize.minimize loops over) directly, in `_lbfgsb`: the same
+iterates, stopping rules and evaluation count as minimize(method="L-BFGS-B"),
+without the wrapper objects minimize runs on every evaluation, which cost
+about as much as the CSS evaluation itself on the short windows that the
+order search and the rolling refits fit.
 
 The residual recursion eps = phi(B) z / (1 - theta(B)) is one FIR pass
 (`np.convolve`) and one unit lower triangular banded solve (LAPACK dtbtrs
@@ -30,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 from . import _doc
 from .errors import FIT_FAILURES, AnalysisError, DegenerateInputError, FitError
@@ -108,13 +115,15 @@ def _ar_filter(z, phi):
     return np.convolve(z, np.concatenate(([1.0], np.negative(phi, dtype=float))))[: len(z)]
 
 
-def _ma_inverse(theta, n):
+def _ma_inverse(theta, n, band=None):
     """b -> A^-1 b, A the n x n unit lower triangular Toeplitz matrix of 1 - theta(B),
-    by forward substitution (LAPACK dtbtrs) on one band whose every column is
-    [1, -theta_1, ..., -theta_q] (unit diagonal not read; with q = 0 it only
-    copies).  The transposed repeated row is Fortran-contiguous: no copy."""
-    column = np.concatenate(([1.0], np.negative(theta, dtype=float)))
-    band = column[None, :].repeat(n, axis=0).T
+    by forward substitution (LAPACK dtbtrs) on one Fortran-ordered band whose
+    every column is [1, -theta_1, ..., -theta_q] (unit diagonal not read; with
+    q = 0 it only copies).  A caller that solves for many theta passes the
+    same (q + 1) x n band each time, and it is refilled in place."""
+    if band is None:
+        band = np.ones((len(theta) + 1, n), order="F")
+    band[1:] = np.negative(theta, dtype=float)[:, None]
     return lambda b: dtbtrs(band, b, uplo="L", diag="U")[0]
 
 
@@ -125,8 +134,8 @@ def _arma_residuals(z, phi, theta):
     return _ma_inverse(theta, len(z))(_ar_filter(z, phi))
 
 
-def _css(z, phi, theta, p):
-    """CSS objective and its exact gradient in (phi, theta).
+def _css_objective(z, p, q):
+    """The CSS objective of one fit, x = (phi, theta) -> (CSS, exact gradient).
 
     With A the unit lower triangular Toeplitz matrix of 1 - theta(B),
     d eps_t / d phi_i = -(A^-1 z)_{t-i} and d eps_t / d theta_j =
@@ -135,11 +144,19 @@ def _css(z, phi, theta, p):
     w = A^-T r, dCSS/dphi_i = -2 sum w_t z_{t-i} and dCSS/dtheta_j =
     2 sum w_t eps_{t-j}.  A^-T is A^-1 in reversed time, so w is a second
     solve on the same band, run backwards: one band and two solves per
-    evaluation whatever p + q is.
+    evaluation whatever p + q is, and one band allocation per fit.
+
+    Explosive candidates overflow, so callers run the objective under
+    np.errstate(over="ignore", invalid="ignore"); it then reports CSS_CAP
+    and a zero gradient, so that the line search backs away instead of
+    propagating NaN.
     """
-    q, n = len(theta), len(z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        solve = _ma_inverse(theta, n)
+    n = len(z)
+    band = np.ones((q + 1, n), order="F")
+
+    def objective(x):
+        phi, theta = x[:p], x[p:]
+        solve = _ma_inverse(theta, n, band)
         eps = solve(_ar_filter(z, phi))
         tail = eps[p:]
         css = float(tail @ tail)
@@ -149,11 +166,11 @@ def _css(z, phi, theta, p):
         w = np.concatenate((solve(r[::-1])[::-1], np.zeros(max(p, q))))
         grad = 2.0 * np.concatenate((-np.correlate(w[: n + p], z)[1:],
                                      np.correlate(w[: n + q], eps)[1:]))
-    # Explosive candidates overflow; report a huge finite value and a zero
-    # gradient so the line search backs away instead of propagating NaN.
-    if not (np.isfinite(css) and np.all(np.isfinite(grad))):
-        return CSS_CAP, np.zeros(p + q)
-    return css, grad
+        if not (np.isfinite(css) and np.all(np.isfinite(grad))):
+            return CSS_CAP, np.zeros(p + q)
+        return css, grad
+
+    return objective
 
 
 def _yule_walker_ar(z, p):
@@ -174,6 +191,47 @@ def _ar_roots_outside_unit_circle(phi) -> bool:
     # holds phi itself, so it stays finite however close to 0 phi_p is.
     inverse_roots = np.roots(np.concatenate(([1.0], -np.asarray(phi, dtype=float))))
     return bool(np.all(np.abs(inverse_roots) < 1.0))
+
+
+def _lbfgsb(objective, x0, lo, hi):
+    """Minimize objective(x) -> (value, gradient) over the box [lo, hi] from x0
+    by L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995), answering the requests of
+    scipy's reverse-communication routine setulb in the loop that
+    scipy.optimize.minimize(method="L-BFGS-B", jac=True, options={"maxiter":
+    MAX_ITER, "gtol": GRAD_TOL}) runs, with its defaults (10 corrections, 20
+    line-search steps, ftol 2.2e-9, maxfun 15000) and its reuse of the last
+    evaluation when setulb asks for the same x again, but without the
+    wrapper objects it runs on every evaluation.  Returns x and whether
+    setulb reported convergence (task 4)."""
+    m, n = 10, len(x0)
+    x = np.clip(x0, lo, hi)
+    nbd = np.full(n, 2, dtype=np.int32)  # every variable bounded on both sides
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task, lsave = (np.zeros(k, dtype=np.int32) for k in (2, 2, 4))
+    isave, dsave = np.zeros(44, dtype=np.int32), np.zeros(29)
+    factr = 2.2204460492503131e-09 / np.finfo(float).eps
+    # minimize evaluates the start before the loop, then skips any request
+    # for the point it evaluated last (a NaN never matches).
+    f, g = objective(x)
+    evaluated, evaluations, iterations = x.tolist(), 1, 0
+    while True:
+        setulb(m, x, lo, hi, nbd, f, g, factr, GRAD_TOL, wa, iwa, task, lsave,
+               isave, dsave, 20, ln_task)
+        if task[0] == 3:  # evaluate at x
+            point = x.tolist()
+            if point != evaluated:
+                f, g = objective(x)
+                evaluated = point
+                evaluations += 1
+        elif task[0] == 1:  # an iteration ended
+            iterations += 1
+            if iterations >= MAX_ITER:
+                task[:] = 5, 504
+            elif evaluations > 15000:
+                task[:] = 5, 502
+        else:
+            return x, bool(task[0] == 4)
 
 
 def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
@@ -200,21 +258,11 @@ def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
         phi, theta = np.linalg.lstsq(X, z[p:], rcond=None)[0], np.zeros(0)
     else:
         x0 = np.concatenate((_yule_walker_ar(z, p), np.zeros(q)))
-
-        def objective(x):
-            return _css(z, x[:p], x[p:], p)
-
-        bounds = [(-10.0, 10.0)] * p + [(-0.99, 0.99)] * q
-        res = minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": MAX_ITER, "gtol": GRAD_TOL},
-        )
-        phi, theta = res.x[:p], res.x[p:]
-        converged = bool(res.success) and not np.array_equal(res.x, x0)
+        hi = np.repeat([10.0, 0.99], [p, q])
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, converged = _lbfgsb(_css_objective(z, p, q), x0, -hi, hi)
+        phi, theta = x[:p], x[p:]
+        converged = converged and not np.array_equal(x, x0)
 
     with np.errstate(over="ignore", invalid="ignore"):
         eps = _arma_residuals(z, phi, theta)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 import navcast.arima as arima
 from navcast.arima import (
@@ -109,19 +110,23 @@ class TestFit:
 
     def test_optimizer_uses_the_exact_gradient(self, monkeypatch):
         # ARIMA(4,1,5) on the paper fixture's last 120-day training window
-        # takes 194 evaluations with the exact gradient and 1360 with
+        # takes 127 evaluations with the exact gradient and 1220 with
         # 2-point finite differences.
         s = generate_synthetic("linear-plus-sine", 1260, PAPER_PARAMS, seed=0).slice(780, 900)
-        results = []
+        evaluations = 0
 
-        def recording(*args, **kwargs):
-            results.append(arima_minimize(*args, **kwargs))
-            return results[-1]
-        arima_minimize = arima.minimize
-        monkeypatch.setattr(arima, "minimize", recording)
+        def counting(z, p, q):
+            objective = css_objective(z, p, q)
+
+            def counted(x):
+                nonlocal evaluations
+                evaluations += 1
+                return objective(x)
+            return counted
+        css_objective = arima._css_objective
+        monkeypatch.setattr(arima, "_css_objective", counting)
         fit(s, ArimaOrder(4, 1, 5))
-        assert len(results) == 1
-        assert results[0].nfev < 300
+        assert 0 < evaluations < 300
 
     def test_sigma2_nonnegative(self):
         m = fit(as_series(simulate_ar1(0.4, 300, seed=4)), ArimaOrder(1, 0, 1))
@@ -261,6 +266,12 @@ class TestSelectOrder:
         assert (report.model.intercept, report.model.sigma2) == (ref.intercept, ref.sigma2)
 
 
+def css(z, phi, theta, p):
+    """The CSS objective and its gradient at one point (phi, theta)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return arima._css_objective(z, p, len(theta))(np.concatenate((phi, theta), dtype=float))
+
+
 class TestCssGradient:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -271,15 +282,15 @@ class TestCssGradient:
         n = data.draw(st.integers(p + q + 2, 80))
         z = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=n)
         x = np.concatenate((phi, theta))
-        value, grad = arima._css(z, phi, theta, p)
+        value, grad = css(z, phi, theta, p)
         h = 1e-6
         numeric = np.empty(p + q)
         for k in range(p + q):
             up, down = x.copy(), x.copy()
             up[k] += h
             down[k] -= h
-            numeric[k] = (arima._css(z, up[:p], up[p:], p)[0]
-                          - arima._css(z, down[:p], down[p:], p)[0]) / (2 * h)
+            numeric[k] = (css(z, up[:p], up[p:], p)[0]
+                          - css(z, down[:p], down[p:], p)[0]) / (2 * h)
         assert value < arima.CSS_CAP
         # Relative to the largest component; near a stationary point the
         # differences' rounding error, about 1e-16 * CSS / h, sets the floor.
@@ -287,9 +298,87 @@ class TestCssGradient:
         assert np.max(np.abs(grad - numeric), initial=0.0) <= 1e-6 * scale
 
     def test_cap_returns_a_zero_gradient(self):
-        value, grad = arima._css(np.array([1e200, -1e200, 1e200]), [0.5], [0.5], 1)
+        value, grad = css(np.array([1e200, -1e200, 1e200]), [0.5], [0.5], 1)
         assert value == arima.CSS_CAP
         assert np.array_equal(grad, np.zeros(2))
+
+
+def css_problem(values, order):
+    """The CSS objective, start and box that fit hands to L-BFGS-B."""
+    p, d, q = order
+    z = np.diff(np.asarray(values, dtype=float), d)
+    z = z - z.mean()
+    hi = np.repeat([10.0, 0.99], [p, q])
+    x0 = np.concatenate((arima._yule_walker_ar(z, p), np.zeros(q)))
+    return arima._css_objective(z, p, q), x0, -hi, hi
+
+
+class TestLbfgsb:
+    """`_lbfgsb` drives scipy's private setulb routine; it must reproduce the
+    public minimize(method="L-BFGS-B") bit for bit, so a change to setulb's
+    signature or to minimize's loop fails here."""
+
+    @staticmethod
+    def both(objective, x0, lo, hi):
+        """(x bits, converged, evaluations) from _lbfgsb and from minimize."""
+        evaluations = 0
+
+        def counted(x):
+            nonlocal evaluations
+            evaluations += 1
+            return objective(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, converged = arima._lbfgsb(counted, x0, lo, hi)
+            res = minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=list(zip(lo, hi)),
+                           options={"maxiter": arima.MAX_ITER, "gtol": arima.GRAD_TOL})
+        return (x.tobytes(), converged, evaluations), (res.x.tobytes(), res.success, res.nfev)
+
+    @pytest.mark.parametrize("order", [(4, 1, 5), (1, 1, 1), (0, 1, 2), (3, 0, 3), (5, 2, 4)])
+    def test_paper_window_fits(self, order):
+        s = generate_synthetic("linear-plus-sine", 1260, PAPER_PARAMS, seed=0).slice(780, 900)
+        ours, reference = self.both(*css_problem(s.values, order))
+        assert ours == reference
+        assert ours[1] is True
+
+    @pytest.mark.parametrize("kind, n, seed, order", [("ar1", 250, 0, (3, 1, 3)),
+                                                     ("random-walk", 250, 1, (1, 2, 2))])
+    def test_a_line_search_longer_than_ten_steps(self, kind, n, seed, order):
+        s = generate_synthetic(kind, n, seed=seed)
+        ours, reference = self.both(*css_problem(s.values, order))
+        assert ours == reference
+
+    def test_a_fit_stuck_at_its_start(self):
+        objective, x0, lo, hi = css_problem(simulate_ar1(0.6, 2000, seed=2), (0, 0, 5))
+        ours, reference = self.both(objective, x0, lo, hi)
+        assert ours == reference
+        assert ours[0] == x0.tobytes()
+
+    @pytest.mark.parametrize("scale, from_the_start", [(1e151, False), (1e160, True)])
+    def test_an_objective_at_the_cap(self, scale, from_the_start):
+        # At 1e151 one line-search trial overflows and the search backs away;
+        # at 1e160 the start overflows too (its Yule-Walker AR part is NaN).
+        objective, x0, lo, hi = css_problem(scale * simulate_ar1(0.6, 200, seed=1), (2, 0, 1))
+        capped = []
+
+        def recording(x):
+            value, grad = objective(x)
+            capped.append(value == arima.CSS_CAP)
+            return value, grad
+        ours, reference = self.both(recording, x0, lo, hi)
+        assert ours == reference
+        assert capped[0] is from_the_start and any(capped)
+
+    def test_a_run_cut_short_by_max_iter(self, monkeypatch):
+        monkeypatch.setattr(arima, "MAX_ITER", 3)
+        s = generate_synthetic("linear-plus-sine", 1260, PAPER_PARAMS, seed=0).slice(780, 900)
+        ours, reference = self.both(*css_problem(s.values, (4, 1, 5)))
+        assert ours == reference
+        assert ours[1] is False
+
+    def test_a_start_outside_the_box(self):
+        objective, _, lo, hi = css_problem(simulate_ma1(0.5, 300, seed=3), (2, 0, 2))
+        ours, reference = self.both(objective, np.array([12.0, -11.0, 1.5, -0.3]), lo, hi)
+        assert ours == reference
 
 
 class TestForecastOne:
