@@ -22,22 +22,29 @@ about as much as the CSS evaluation itself on the short windows that the
 order search and the rolling refits fit.
 
 The residual recursion eps = phi(B) z / (1 - theta(B)) is one FIR pass
-(`np.convolve`) and one unit lower triangular banded solve (LAPACK dtbtrs
-from scipy.linalg), so the module loads scipy.optimize and scipy.linalg but
-not scipy.signal, which would also load scipy.stats.  Fits, residuals and
-forecasts all run it: the one-step forecast is the next value whose residual
-is zero (Box, Jenkins, Reinsel & Ljung, ch. 5).
+(`np.convolve`) and one unit lower triangular banded solve (LAPACK dtbtrs).
+Fits, residuals and forecasts all run it: the one-step forecast is the next
+value whose residual is zero (Box, Jenkins, Reinsel & Ljung, ch. 5).
+
+dtbtrs and setulb are the only compiled scipy routines navcast calls.  The
+module loads them from the extension modules scipy.linalg._flapack and
+scipy.optimize._lbfgsb (`_scipy_extension`), and imports none of the
+packages scipy.linalg, scipy.optimize or scipy.signal: their __init__s load
+hundreds of modules navcast never uses, and they took most of the start-up
+time and memory of every navcast process.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.linalg.lapack import dtbtrs
-from scipy.optimize._lbfgsb import setulb
+import scipy
 
 from . import _doc
 from .errors import FIT_FAILURES, AnalysisError, DegenerateInputError, FitError
@@ -47,6 +54,29 @@ from .series import (MAX_DIFFERENCES, TimeSeries, _autocovariances, _first_stati
 MAX_ITER = 500
 GRAD_TOL = 1e-8
 CSS_CAP = 1e300  # the objective's value where the residuals overflow
+
+
+def _scipy_extension(name: str):
+    """The compiled module scipy.<name>, loaded from its file under scipy's
+    directory without running the __init__ of the package that holds it.
+    A module already imported is reused; one that loading registers is taken
+    out of sys.modules again, so a later import of its package binds it as a
+    plain import does."""
+    full = f"scipy.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    where = Path(scipy.__file__).parent.joinpath(*name.split(".")[:-1])
+    spec = FileFinder(str(where), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full)
+    if spec is None:
+        raise ImportError(f"no compiled module {full} in {where}", name=full, path=str(where))
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(full, None)
+    return module
+
+
+dtbtrs = _scipy_extension("linalg._flapack").dtbtrs  # unit lower triangular banded solve
+setulb = _scipy_extension("optimize._lbfgsb").setulb  # one L-BFGS-B step
 
 
 @dataclass(frozen=True)
@@ -174,15 +204,19 @@ def _css_objective(z, p, q):
 
 
 def _yule_walker_ar(z, p):
-    """Yule-Walker AR(p) start values from the biased autocovariances."""
+    """Yule-Walker AR(p) start values from the biased autocovariances, or
+    zeros where those or the solution are not finite (an overflowing series)
+    or the Toeplitz system c[|i - j|] is singular."""
     with np.errstate(over="ignore", invalid="ignore"):
         c = _autocovariances(z, p)
-    if c[0] <= 0:
+    if not (np.all(np.isfinite(c)) and c[0] > 0):
         return np.zeros(p)
+    lags = np.arange(p)
     try:
-        return np.linalg.solve(toeplitz(c[:p]), c[1: p + 1])
+        phi = np.linalg.solve(c[np.abs(lags[:, None] - lags)], c[1: p + 1])
     except np.linalg.LinAlgError:
         return np.zeros(p)
+    return phi if np.all(np.isfinite(phi)) else np.zeros(p)
 
 
 def _ar_roots_outside_unit_circle(phi) -> bool:

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -356,7 +357,8 @@ class TestLbfgsb:
     @pytest.mark.parametrize("scale, from_the_start", [(1e151, False), (1e160, True)])
     def test_an_objective_at_the_cap(self, scale, from_the_start):
         # At 1e151 one line-search trial overflows and the search backs away;
-        # at 1e160 the start overflows too (its Yule-Walker AR part is NaN).
+        # at 1e160 the start overflows too (the autocovariances overflow, so
+        # its Yule-Walker AR part falls back to zeros).
         objective, x0, lo, hi = css_problem(scale * simulate_ar1(0.6, 200, seed=1), (2, 0, 1))
         capped = []
 
@@ -367,6 +369,16 @@ class TestLbfgsb:
         ours, reference = self.both(recording, x0, lo, hi)
         assert ours == reference
         assert capped[0] is from_the_start and any(capped)
+
+    def test_an_overflowing_series_starts_from_zeros(self):
+        values = 1e160 * simulate_ar1(0.6, 200, seed=1)
+        objective, x0, lo, hi = css_problem(values, (2, 0, 1))
+        assert np.array_equal(x0, np.zeros(3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, _ = arima._lbfgsb(objective, x0, lo, hi)
+        assert x.tobytes() == x0.tobytes()
+        with pytest.raises(FitError):
+            fit(as_series(values), ArimaOrder(2, 0, 1))
 
     def test_a_run_cut_short_by_max_iter(self, monkeypatch):
         monkeypatch.setattr(arima, "MAX_ITER", 3)
@@ -379,6 +391,21 @@ class TestLbfgsb:
         objective, _, lo, hi = css_problem(simulate_ma1(0.5, 300, seed=3), (2, 0, 2))
         ours, reference = self.both(objective, np.array([12.0, -11.0, 1.5, -0.3]), lo, hi)
         assert ours == reference
+
+
+class TestScipyRoutines:
+    def test_they_are_the_ones_scipy_binds(self):
+        import scipy.linalg.lapack
+        import scipy.optimize
+        assert arima.dtbtrs is scipy.linalg.lapack.dtbtrs
+        assert arima.setulb is scipy.optimize._lbfgsb.setulb
+        res = minimize(lambda x: float((x - 1.5) @ (x - 1.5)), np.zeros(2), method="L-BFGS-B")
+        assert res.success and np.allclose(res.x, 1.5)
+
+    def test_a_missing_module_names_its_directory(self):
+        where = str(Path(arima.scipy.__file__).parent / "linalg")
+        with pytest.raises(ImportError, match=re.escape(where)):
+            arima._scipy_extension("linalg._no_such_module")
 
 
 class TestForecastOne:

@@ -344,6 +344,21 @@ class TestCompareCommand:
         lstm_mod.deserialize((out / "models" / "lstm.txt").read_text())
 
 
+# The generator parameters of each synthetic kind, the range a typical value of
+# each is drawn from, and values at and past the edges of float64.
+SYNTH_PARAMS = {"random-walk": ("base", "drift", "sigma"),
+                "linear-plus-sine": ("base", "drift", "sigma", "amplitude", "period"),
+                "ar1": ("base", "phi", "sigma")}
+PARAM_RANGES = {"base": (-2.0, 20.0), "drift": (-0.1, 0.1), "sigma": (0.0, 1.0),
+                "amplitude": (0.0, 5.0), "period": (-100.0, 100.0), "phi": (-1.5, 1.5)}
+EXTREME_FLOATS = [0.0, -0.0, 5e-324, 1e-300, -1.0, 1e300, -1e300, 1.7976931348623157e308,
+                  np.nan, np.inf, -np.inf]
+
+
+def synth_param(key):
+    return st.one_of(st.floats(*PARAM_RANGES[key]), st.sampled_from(EXTREME_FLOATS))
+
+
 class TestSynthCommand:
     def test_writes_csv(self, tmp_path):
         out = tmp_path / "o"
@@ -371,28 +386,25 @@ class TestSynthCommand:
         assert "index 15" in capsys.readouterr().err
         assert not out.exists()
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        kind=st.sampled_from(["random-walk", "ar1", "linear-plus-sine"]),
-        n=st.integers(30, 60),
-        seed=st.integers(0, 2**16),
-        base=st.one_of(st.floats(-2.0, 5.0), st.sampled_from([np.nan, np.inf, -np.inf])),
-        amplitude=st.floats(0.0, 4.0),
-        sigma=st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e308, np.inf, -1.0])),
-    )
-    def test_writes_only_what_ingest_accepts(self, kind, n, seed, base, amplitude, sigma):
-        params = ["--param", f"base={base!r}", "--param", f"sigma={sigma!r}"]
-        if kind == "linear-plus-sine":
-            params += ["--param", f"amplitude={amplitude!r}"]
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(SYNTH_PARAMS)), n=st.integers(30, 400),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_writes_only_what_ingest_accepts(self, kind, n, seed, data):
+        # synth either refuses (exit 2, no CSV) or writes a CSV that ingest_csv
+        # reads back bit for bit as the series generate_synthetic makes.
+        params = {key: data.draw(synth_param(key), label=key) for key in SYNTH_PARAMS[kind]}
+        flags = [f for key, value in params.items() for f in ("--param", f"{key}={value!r}")]
         with tempfile.TemporaryDirectory() as tmp:
             target = Path(tmp) / "s.csv"
             code = main(["synth", "--kind", kind, "--n", str(n), "--seed", str(seed),
-                         "--out", tmp, "--output", str(target)] + params)
+                         "--out", tmp, "--output", str(target)] + flags)
             if code == EXIT_USAGE:
                 assert not target.exists()
             else:
                 assert code == EXIT_OK
-                assert len(ingest_csv(target)) == n
+                written, expected = ingest_csv(target), generate_synthetic(kind, n, params, seed)
+                assert written.timestamps == expected.timestamps
+                assert written.values.tobytes() == expected.values.tobytes()
 
 
 class TestExitCodes:
@@ -578,20 +590,29 @@ class TestExitCodes:
 
 
 def test_the_cli_loads_neither_scipy_signal_nor_scipy_stats(tmp_path):
-    # A fresh interpreter, so that no other test's imports count.
+    # A fresh interpreter, so that no other test's imports count.  Nor does
+    # it import scipy.linalg or scipy.optimize: navcast.arima loads the two
+    # compiled routines it calls from their files, and a later import of
+    # those packages binds the same routines.
     csv = tmp_path / "s.csv"
     write_series_csv(csv, generate_synthetic("ar1", 60, {"base": 10.0}, seed=0))
     script = (
         "import sys, navcast, navcast.cli\n"
         f"assert navcast.cli.main(['fit-arima', '--input', {str(csv)!r}, "
         f"'--out', {str(tmp_path / 'o')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.optimize')))\n"
+        "unused = sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats')))\n"
+        "import scipy.linalg.lapack, scipy.optimize\n"
+        "print(loaded, navcast.arima.dtbtrs is scipy.linalg.lapack.dtbtrs,\n"
+        "      navcast.arima.setulb is scipy.optimize._lbfgsb.setulb)\n"
+        "print(unused)\n"
     )
     src = str(Path(cli_mod.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
                          timeout=120)
     assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-2] == "[] True True"
     assert run.stdout.splitlines()[-1] == "[]"
 
 
