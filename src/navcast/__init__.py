@@ -23,11 +23,9 @@ from .hybrid import (
 from .lstm import (
     LstmCellParams,
     LstmNetwork,
-    LstmState,
     SupervisedWindowSet,
     TrainConfig,
     bptt_gradients,
-    cell_forward,
     forward,
     init_network,
     make_windows,

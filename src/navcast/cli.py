@@ -103,6 +103,9 @@ def write_series_csv(path, series: TimeSeries):
             fh.write(f"{ts.isoformat()},{float(v)!r}\n")
 
 
+# Extreme parameters may overflow or divide by zero; TimeSeries refuses the
+# non-finite values that result, so numpy need not warn about them first.
+@np.errstate(all="ignore")
 def generate_synthetic(kind: str, n: int, params: dict | None = None, seed: int = 0) -> TimeSeries:
     """Seeded fixture generator: random-walk, ar1, or linear-plus-sine."""
     if n < 30:

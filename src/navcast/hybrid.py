@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _blas
 from . import arima as arima_mod
 from . import lstm as lstm_mod
 from .errors import FIT_FAILURES, ComparisonError, ConfigurationError, DegenerateInputError
@@ -126,16 +127,6 @@ def fit_hybrid(
     )
 
 
-def _correction(model: HybridModel, recent_residuals) -> float:
-    """The residual net's nonlinear correction from the latest residuals."""
-    resid = np.asarray(recent_residuals, dtype=float)
-    if len(resid) < model.window_m:
-        raise DegenerateInputError(
-            f"need {model.window_m} recent residuals, got {len(resid)}"
-        )
-    return _net_forecast(model.residual_net, resid[-model.window_m:], model.residual_scale)
-
-
 def sliding_window_evaluate(
     series: TimeSeries,
     spec: SplitSpec,
@@ -215,10 +206,18 @@ def sliding_window_evaluate(
             raise ConfigurationError(f"arima_run was fitted on {arima_run.model.n_obs} values, "
                                      f"not on the {spec.train_len}-value training segment")
         fitted = fit_hybrid(train, val, arima_run.model, cfg)
+        m, scale = fitted.window_m, fitted.residual_scale
+        shortest = min(map(len, arima_run.step_residuals))
+        if shortest < m:
+            raise DegenerateInputError(f"need {m} recent residuals, got {shortest}")
+        # Every correction window is the arima walk's residuals before its
+        # step, all known now: one batched pass of the net corrects every step.
+        windows = np.stack([r[-m:] for r in arima_run.step_residuals])
+        with _blas.single_threaded():
+            raw = lstm_mod._forward_batch(fitted.residual_net, minmax_scale(windows, scale))
         linear = arima_run.predictions.copy()
-        nonlinear = np.empty(spec.test_len)
+        nonlinear = minmax_unscale(raw, scale)
         for j, t in enumerate(range(test_start, n)):
-            nonlinear[j] = _correction(fitted, arima_run.step_residuals[j])
             actuals[j] = series.segment(t, t + 1)[0]
         preds = linear + nonlinear
 

@@ -93,12 +93,6 @@ class LstmCellParams:
 
 
 @dataclass
-class LstmState:
-    h: np.ndarray
-    C: np.ndarray
-
-
-@dataclass
 class LstmNetwork:
     """Stacked LSTM layers plus a scalar affine output head."""
 
@@ -181,20 +175,6 @@ def init_network(
     net = LstmNetwork(layers=layers, head_w=np.zeros(hidden_dim), head_b=0.0)
     net.check()
     return net
-
-
-def cell_forward(params: LstmCellParams, x: np.ndarray, prev: LstmState) -> LstmState:
-    """Single-step cell update; x is (input_dim,) and prev holds (hidden_dim,)."""
-    a = np.concatenate((prev.h, np.atleast_1d(np.asarray(x, dtype=float)), [1.0]))
-    if a.shape[0] != params.Wb.shape[1]:
-        raise ConfigurationError(f"concatenated input has length {a.shape[0] - 1}, "
-                                 f"expected {params.Wb.shape[1] - 1}")
-    H = params.hidden_dim
-    C, tC, h = np.empty((3, H, 1))
-    _cell_step(params.Wb, a[:, None], prev.C[:, None], np.empty((4 * H, 1)), C, tC, h)
-    if not (np.all(np.isfinite(C)) and np.all(np.isfinite(h))):
-        raise NumericalError("non-finite cell state")
-    return LstmState(h=h[:, 0], C=C[:, 0])
 
 
 def _cell_step(W, a, C_prev, g, C, tC, h):

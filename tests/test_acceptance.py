@@ -16,7 +16,7 @@ import pytest
 import navcast.arima as arima
 from navcast.cli import generate_synthetic, main, write_series_csv
 from navcast.hybrid import compare_models, sliding_window_evaluate
-from navcast.lstm import TrainConfig
+from navcast.lstm import LstmNetwork, TrainConfig, forward
 from navcast.metrics import mae, mse, rmse
 from navcast.series import SplitSpec, adf_test, difference
 
@@ -115,14 +115,13 @@ def test_criterion_06_gate_hand_case():
     # Unit weights, zero biases, x = 1, zero initial state.  By hand, over
     # [h_prev, x] = [0, 1]: f = i = o = sigmoid(1) = 0.7310586,
     # c~ = tanh(1) = 0.7615942, C = f*0 + i*c~ = 0.5567699 and
-    # h = o*tanh(C) = 0.7310586 * 0.5055769 = 0.3696064.
-    from navcast.lstm import LstmState, cell_forward
+    # h = o*tanh(C) = 0.7310586 * 0.5055769 = 0.3696064.  A one-layer net of
+    # that cell with head weight 1 and bias 0 outputs h for the window [1.0].
     f = i = o = 1.0 / (1.0 + math.exp(-1.0))
     C = f * 0.0 + i * math.tanh(1.0)
     target = o * math.tanh(C)
-    state = cell_forward(scalar_cell(), np.array([1.0]),
-                         LstmState(h=np.zeros(1), C=np.zeros(1)))
-    h = float(state.h[0])
+    net = LstmNetwork(layers=[scalar_cell()], head_w=np.array([1.0]), head_b=0.0)
+    h = forward(net, [1.0])
     report(6, f"scalar cell hand case h = {h:.6f}, target {target:.6f} +/- 1e-4",
            abs(h - target) <= 1e-4)
 

@@ -245,6 +245,16 @@ class TestSelectOrder:
         best = min(converged, key=lambda c: (c[1], c[0].p + c[0].q, c[0].p))
         assert report.chosen == best[0]
 
+    def test_an_aic_tie_goes_to_the_fewest_terms(self, monkeypatch):
+        # (0,0,2) comes first in the grid and ties (1,0,0) at the lowest AIC;
+        # the smaller p + q wins.
+        tied = {ArimaOrder(1, 0, 0), ArimaOrder(0, 0, 2)}
+        monkeypatch.setattr(arima, "aic", lambda m: -1.0 if m.order in tied else 0.0)
+        monkeypatch.setattr(arima, "SEARCH_CAPS", ArimaOrder(2, 0, 2))
+        report = select_order(as_series(simulate_ar1(0.6, 600, seed=8)))
+        assert {order for order, value, ok in report.candidates if ok and value == -1.0} == tied
+        assert report.chosen == ArimaOrder(1, 0, 0)
+
     def test_grid_order_invariance(self, monkeypatch):
         # Deterministic tie-break: two runs agree (grid is iterated the same
         # way, so this checks determinism of the whole search).

@@ -99,6 +99,9 @@ def test_fixed_order_refit_compare_fits_and_forecasts_once_per_step(traced_compa
     # each step's residuals off the arima run
     assert count(spans, "arima.residuals") == 1
     assert count(spans, "lstm.train") == 2
+    # the lstm kind runs its net once per step; the hybrid corrects every
+    # step in one batched pass, which calls no public forward
+    assert count(spans, "lstm.forward") == test_len
 
 
 @pytest.mark.parametrize("kind, d", [("ar1", 0), ("random-walk", 1)])

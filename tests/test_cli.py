@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -385,6 +386,19 @@ class TestSynthCommand:
         assert code == EXIT_USAGE
         assert "index 15" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_extreme_parameters_are_refused_without_numpy_warnings(self, tmp_path, capsys):
+        # period=0 divides by zero, and the sine of the result is NaN.
+        target = tmp_path / "s.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["synth", "--kind", "linear-plus-sine", "--n", "40",
+                         "--param", "period=0", "--param", "base=10",
+                         "--out", str(tmp_path), "--output", str(target)])
+        assert code == EXIT_USAGE
+        assert "non-finite" in capsys.readouterr().err
+        assert not target.exists()
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(sorted(SYNTH_PARAMS)), n=st.integers(30, 400),

@@ -5,6 +5,7 @@ import pytest
 
 import navcast.arima as arima
 import navcast.hybrid as hybrid_mod
+from navcast._blas import single_threaded
 from navcast.cli import generate_synthetic
 from navcast.errors import AnalysisError, ConfigurationError, DegenerateInputError
 from navcast.hybrid import (
@@ -15,8 +16,8 @@ from navcast.hybrid import (
     fit_hybrid,
     sliding_window_evaluate,
 )
-from navcast.lstm import LstmNetwork, TrainConfig
-from navcast.series import SplitSpec, TimeSeries
+from navcast.lstm import LstmNetwork, TrainConfig, _forward_batch
+from navcast.series import SplitSpec, TimeSeries, minmax_scale, minmax_unscale
 from navcast.metrics import MODEL_KINDS, mse
 from conftest import as_series
 
@@ -98,7 +99,7 @@ class TestSlidingWindowEvaluate:
 
     def test_step_residuals_are_each_step_models_residuals_over_its_window(self):
         # Reference: each step's residuals recomputed from its model and
-        # window, and the hybrid's correction from them.
+        # window, and the hybrid's corrections from them, in one batch.
         s = sine_walk(300, seed=11)
         spec = SplitSpec(200, 40, 60)
         order, L = arima.ArimaOrder(2, 1, 1), 120
@@ -108,12 +109,17 @@ class TestSlidingWindowEvaluate:
             hybrid = sliding_window_evaluate(s, spec, "hybrid", FAST, window_L=L, refit=refit,
                                              arima_order=order, arima_run=run)
             assert len(run.step_residuals) == spec.test_len
+            expected = []
             for j, t in enumerate(range(240, 300)):
                 window = s.slice(t - L, t)
                 model = arima.fit(window, order) if refit == "arima" else run.model
-                expected = arima.residuals(model, window)
-                assert np.array_equal(run.step_residuals[j], expected), (refit, j)
-                assert hybrid.nonlinear[j] == hybrid_mod._correction(hybrid.model, expected)
+                expected.append(arima.residuals(model, window))
+                assert np.array_equal(run.step_residuals[j], expected[-1]), (refit, j)
+            m, scale = hybrid.model.window_m, hybrid.model.residual_scale
+            windows = np.stack([r[-m:] for r in expected])
+            with single_threaded():
+                raw = _forward_batch(hybrid.model.residual_net, minmax_scale(windows, scale))
+            assert np.array_equal(hybrid.nonlinear, minmax_unscale(raw, scale)), refit
 
     def test_zero_output_head_reduces_to_arima(self, monkeypatch):
         def zero_head_fit(*args, **kwargs):

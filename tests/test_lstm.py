@@ -1,5 +1,6 @@
 import math
 import re
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -7,26 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import navcast.arima as arima
 import navcast.lstm as lstm_mod
 from navcast.errors import ConfigurationError, DegenerateInputError, FitError, NumericalError
 from navcast.lstm import (
     GATES,
     LstmCellParams,
     LstmNetwork,
-    LstmState,
     PARAM_FIELDS,
     TrainConfig,
     bptt_gradients,
-    cell_forward,
     deserialize,
     forward,
     init_network,
     make_windows,
     serialize,
     train,
+    _cell_step,
     _forward_batch,
 )
-from navcast.series import ScaleParams, fit_scale
+from navcast.hybrid import DEFAULT_WINDOW_L, SEED_OFFSETS
+from navcast.series import ADF_CRITICAL_VALUES, ScaleParams, fit_scale
+from conftest import as_series, simulate_ma1
 
 V1_DOCUMENT = Path(__file__).parent / "data" / "lstm_v1.txt"
 
@@ -53,8 +56,22 @@ def scalar_cell(wf=1.0, wi=1.0, wc=1.0, wo=1.0, bf=0.0, bi=0.0, bc=0.0, bo=0.0):
     )
 
 
+# A single column's hidden output h (H,) and cell state C (H,).
+State = namedtuple("State", "h C")
+
+
 def zero_state(h=1):
-    return LstmState(h=np.zeros(h), C=np.zeros(h))
+    return State(h=np.zeros(h), C=np.zeros(h))
+
+
+def cell_forward(params, x, prev):
+    """One cell update of a single column through the kernel's _cell_step;
+    x is (input_dim,) and prev holds (hidden_dim,) arrays."""
+    H = params.hidden_dim
+    a = np.concatenate((prev.h, x, [1.0]))[:, None]
+    C, tC, h = np.empty((3, H, 1))
+    _cell_step(params.Wb, a, prev.C[:, None], np.empty((4 * H, 1)), C, tC, h)
+    return State(h=h[:, 0], C=C[:, 0])
 
 
 def random_cell(hidden, d_in, rng):
@@ -81,7 +98,7 @@ def cell_by_gates(params, x, prev):
         o = sigmoid(pre(params.W_o, params.b_o, j))
         C.append(f * prev.C[j] + i * c_tilde)
         h.append(o * math.tanh(C[-1]))
-    return LstmState(h=np.array(h), C=np.array(C))
+    return State(h=np.array(h), C=np.array(C))
 
 
 class TestCellForward:
@@ -94,9 +111,9 @@ class TestCellForward:
 
     def test_saturated_forget_gate_keeps_memory(self):
         cell = scalar_cell(0, 0, 0, 0, bf=50.0, bi=-50.0)
-        st = LstmState(h=np.zeros(1), C=np.array([0.8]))
+        st = State(h=np.zeros(1), C=np.array([0.8]))
         for _ in range(100):
-            st = cell_forward(cell, np.array([0.3]), LstmState(h=np.zeros(1), C=st.C))
+            st = cell_forward(cell, np.array([0.3]), State(h=np.zeros(1), C=st.C))
         assert st.C[0] == pytest.approx(0.8, abs=1e-6)
 
     def test_unit_weight_hand_case(self):
@@ -121,17 +138,12 @@ class TestCellForward:
             st = cell_forward(net.layers[0], rng.normal(size=1) * 10, st)
             assert np.all(np.abs(st.h) < 1.0)
 
-    def test_shape_mismatch(self):
-        cell = scalar_cell()
-        with pytest.raises(ConfigurationError):
-            cell_forward(cell, np.array([1.0, 2.0]), zero_state())
-
     @given(hidden=st.integers(1, 6), d_in=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_a_per_gate_scalar_reference(self, hidden, d_in, seed):
         rng = np.random.default_rng(seed)
         cell = random_cell(hidden, d_in, rng)
-        prev = LstmState(h=rng.uniform(-1, 1, hidden), C=rng.normal(size=hidden))
+        prev = State(h=rng.uniform(-1, 1, hidden), C=rng.normal(size=hidden))
         x = rng.normal(size=d_in)
         got = cell_forward(cell, x, prev)
         want = cell_by_gates(cell, x, prev)
@@ -541,6 +553,35 @@ class TestTrain:
         assert cfg.layers == 3
         assert cfg.hidden_dim == 32
         assert cfg.window_m == 20
+
+    def test_documented_constants(self):
+        assert ADF_CRITICAL_VALUES == {0.01: -3.43, 0.05: -2.86, 0.10: -2.57}
+        assert DEFAULT_WINDOW_L == 120
+        assert SEED_OFFSETS == {"arima": 0, "lstm": 1, "hybrid": 2}
+        # An MA(1) with theta = 1: the CSS minimum lies past the bound, so the
+        # fit stops on it.
+        model = arima.fit(as_series(simulate_ma1(1.0, 1000, seed=2)), arima.ArimaOrder(0, 0, 1))
+        assert model.ma_coeffs[0] == 0.99
+
+
+class TestAdam:
+    def test_two_steps_match_a_hand_worked_update(self):
+        # lr 0.1, beta1 0.9, beta2 0.999, eps 1e-8.  Parameter 0 sees the
+        # gradients 2 then -1, parameter 1 the constant 0.5.
+        #   step 1: m = 0.2, v = 0.004; bias-corrected 0.2 / 0.1 = 2 and
+        #           0.004 / 0.001 = 4, so the update is 0.1 * 2 / (2 + eps).
+        #   step 2: m = 0.18 - 0.1 = 0.08, v = 0.003996 + 0.001 = 0.004996;
+        #           corrected by 1 - 0.9^2 = 0.19 and 1 - 0.999^2 = 0.001999.
+        # A constant gradient g gives m / (1 - beta1^t) = g and v / (1 -
+        # beta2^t) = g^2 at every t: the update is lr * g / (|g| + eps).
+        opt = lstm_mod._Adam(0.1)
+        first = opt.step([np.array([2.0]), 0.5])
+        second = opt.step([np.array([-1.0]), 0.5])
+        assert first[0][0] == pytest.approx(0.1 * 2.0 / (2.0 + 1e-8), rel=1e-12)
+        assert second[0][0] == pytest.approx(
+            0.1 * (0.08 / 0.19) / (math.sqrt(0.004996 / 0.001999) + 1e-8), rel=1e-12)
+        for update in (first[1], second[1]):
+            assert update == pytest.approx(0.1 * 0.5 / (0.5 + 1e-8), rel=1e-12)
 
 
 class TestSerialization:

@@ -284,7 +284,10 @@ class TestSplit:
         rebuilt = np.concatenate([p.values for p in parts])
         assert np.array_equal(rebuilt, s.values)
 
-    def test_proportional_scaling(self):
-        spec = SplitSpec.proportional(630)
-        assert spec.total == 630
-        assert (spec.train_len, spec.val_len, spec.test_len) == (450, 50, 130)
+    # At n = 11 the raw lengths are 7.86, 0.87 and 2.27: the two units left
+    # after flooring go to the largest remainders, val's and then train's.
+    @pytest.mark.parametrize("n, lengths", [(630, (450, 50, 130)), (11, (8, 1, 2))])
+    def test_proportional_scaling(self, n, lengths):
+        spec = SplitSpec.proportional(n)
+        assert spec.total == n
+        assert (spec.train_len, spec.val_len, spec.test_len) == lengths
