@@ -127,7 +127,11 @@ class ArimaModel:
 
     @property
     def ar_stationary(self) -> bool:
-        return _ar_roots_outside_unit_circle(self.ar_coeffs)
+        # z is a root of 1 - phi_1 z - ... - phi_p z^p exactly when 1/z is a root
+        # of the monic z^p - phi_1 z^(p-1) - ... - phi_p.  Its companion matrix
+        # holds phi itself, so it stays finite however close to 0 phi_p is.
+        inverse_roots = np.roots(np.concatenate(([1.0], -self.ar_coeffs)))
+        return bool(np.all(np.abs(inverse_roots) < 1.0))
 
 
 @dataclass(frozen=True)
@@ -217,14 +221,6 @@ def _yule_walker_ar(z, p):
     except np.linalg.LinAlgError:
         return np.zeros(p)
     return phi if np.all(np.isfinite(phi)) else np.zeros(p)
-
-
-def _ar_roots_outside_unit_circle(phi) -> bool:
-    # z is a root of 1 - phi_1 z - ... - phi_p z^p exactly when 1/z is a root
-    # of the monic z^p - phi_1 z^(p-1) - ... - phi_p.  Its companion matrix
-    # holds phi itself, so it stays finite however close to 0 phi_p is.
-    inverse_roots = np.roots(np.concatenate(([1.0], -np.asarray(phi, dtype=float))))
-    return bool(np.all(np.abs(inverse_roots) < 1.0))
 
 
 def _lbfgsb(objective, x0, lo, hi):

@@ -226,13 +226,11 @@ def cmd_compare(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig, out_dir: 
     result = compare_models(series, spec, cfg, window_L=window_L, refit=refit,
                             arima_order=order)
     out_dir.mkdir(parents=True, exist_ok=True)
-    test_start = spec.train_len + spec.val_len
-    dates = series.timestamps[test_start: spec.total]
-    actuals = series.values[test_start: spec.total]
+    walk = next(iter(result.runs.values()))  # every run walked the same test days
 
     with open(out_dir / "predictions.csv", "w", encoding="utf-8") as fh:
         fh.write(",".join(("date", "actual") + MODEL_KINDS) + "\n")
-        for j, (ts, actual) in enumerate(zip(dates, actuals)):
+        for j, (ts, actual) in enumerate(zip(walk.timestamps, walk.actuals)):
             cells = [ts.isoformat(), repr(float(actual))]
             for kind in MODEL_KINDS:
                 run = result.runs.get(kind)
@@ -312,11 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
 
+    def add_fit_flags(p):
+        add_common(p)
+        p.add_argument("--order", type=_parse_order, default="auto")
+
     def add_train_flags(p):
+        add_fit_flags(p)
         default = TrainConfig()
         p.add_argument("--split", type=_parse_split, default=None,
                        help="train,val,test lengths (default: 900,100,260 scaled)")
-        p.add_argument("--order", type=_parse_order, default="auto")
         for flag, name in TRAIN_FLAGS:
             value = getattr(default, name)
             p.add_argument(flag, type=type(value), default=value, dest=name,
@@ -326,16 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--max-lag", type=int, default=20)
 
-    p = sub.add_parser("fit-arima", help="fit an ARIMA model and serialize it")
-    add_common(p)
-    p.add_argument("--order", type=_parse_order, default="auto")
-
-    p = sub.add_parser("fit-hybrid", help="fit the ARIMA + residual-LSTM hybrid")
-    add_common(p)
-    add_train_flags(p)
+    add_fit_flags(sub.add_parser("fit-arima", help="fit an ARIMA model and serialize it"))
+    add_train_flags(sub.add_parser("fit-hybrid", help="fit the ARIMA + residual-LSTM hybrid"))
 
     p = sub.add_parser("compare", help="rolling three-model comparison")
-    add_common(p)
     add_train_flags(p)
     p.add_argument("--window-L", type=int, default=DEFAULT_WINDOW_L)
     p.add_argument("--refit", choices=("none", "arima"), default="none")
@@ -352,12 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_blas.single_threaded()
 def main(argv=None) -> int:
-    with _blas.single_threaded():
-        return _main(argv)
-
-
-def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -79,12 +79,6 @@ def _train_net(stream, n_train: int, scale: ScaleParams, cfg: TrainConfig):
     return lstm_mod.train(net, data, cfg, val_data=val_windows)
 
 
-def _net_forecast(net: LstmNetwork, window, scale: ScaleParams) -> float:
-    """Scale a window, run it through the net and unscale the output."""
-    raw = lstm_mod.forward(net, minmax_scale(window, scale))
-    return float(minmax_unscale(np.array([raw]), scale)[0])
-
-
 def fit_hybrid(
     train: TimeSeries,
     val: TimeSeries,
@@ -187,11 +181,15 @@ def sliding_window_evaluate(
     elif kind == "lstm":
         # Single-model baseline: trained on scaled raw levels with the same
         # window and config as the residual net.
+        if len(train) <= cfg.window_m:
+            raise ConfigurationError(
+                f"{len(train)} training values cannot fill windows of length {cfg.window_m}")
         scale = fit_scale(train.values)
         fitted = _train_net(
             np.concatenate((train.values, val.values)), len(train), scale, cfg).net
         for j, t in enumerate(range(test_start, n)):
-            preds[j] = _net_forecast(fitted, series.segment(t - cfg.window_m, t), scale)
+            window = minmax_scale(series.segment(t - cfg.window_m, t), scale)
+            preds[j] = minmax_unscale(lstm_mod.forward(fitted, window), scale)
             actuals[j] = series.segment(t, t + 1)[0]
     else:
         if arima_run is None:

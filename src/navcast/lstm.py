@@ -32,6 +32,8 @@ PARAM_FIELDS = ("W_f", "W_i", "W_c", "W_o", "b_f", "b_i", "b_c", "b_o")
 # Row-block order of the stacked gate matrix: the three sigmoid gates first,
 # so one in-place sigmoid covers rows :3H, then the tanh candidate.
 GATES = ("f", "i", "o", "c")
+# Adam's moment decay rates and denominator guard: Kingma & Ba's defaults.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 def _gate_view(name):
@@ -252,6 +254,7 @@ def forward(net: LstmNetwork, window) -> float:
 
 
 @_blas.single_threaded()
+@np.errstate(over="ignore", invalid="ignore")  # a diverging net raises FitError instead
 def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
     """Exact gradients of mean squared error over the batch.
 
@@ -323,8 +326,8 @@ def make_windows(values, m: int, scale: ScaleParams) -> SupervisedWindowSet:
 
 
 class _Adam:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr):
+        self.lr = lr
         self.t = 0
         self.m = {}
         self.v = {}
@@ -334,13 +337,13 @@ class _Adam:
         self.t += 1
         updates = []
         for key, g in enumerate(grads):
-            m = self.m.get(key, 0.0) * self.b1 + (1 - self.b1) * g
-            v = self.v.get(key, 0.0) * self.b2 + (1 - self.b2) * g * g
+            m = self.m.get(key, 0.0) * _BETA1 + (1 - _BETA1) * g
+            v = self.v.get(key, 0.0) * _BETA2 + (1 - _BETA2) * g * g
             self.m[key] = m
             self.v[key] = v
-            mhat = m / (1 - self.b1 ** self.t)
-            vhat = v / (1 - self.b2 ** self.t)
-            updates.append(self.lr * mhat / (np.sqrt(vhat) + self.eps))
+            mhat = m / (1 - _BETA1 ** self.t)
+            vhat = v / (1 - _BETA2 ** self.t)
+            updates.append(self.lr * mhat / (np.sqrt(vhat) + _EPS))
         return updates
 
 
@@ -350,6 +353,7 @@ def _arrays(net: LstmNetwork) -> list:
 
 
 @_blas.single_threaded()
+@np.errstate(over="ignore", invalid="ignore")  # a diverging net raises FitError instead
 def train(
     net: LstmNetwork,
     data: SupervisedWindowSet,
@@ -361,7 +365,8 @@ def train(
     One Adam rule updates every parameter, the head bias included.
     Validation loss, when a validation set is given, is recorded per epoch
     for reporting only; the returned network always carries the last-epoch
-    weights.
+    weights.  An epoch whose training or validation loss is not finite
+    raises FitError.
     """
     n = len(data.inputs)
     if n == 0:
@@ -387,6 +392,9 @@ def train(
             vp = _forward_batch(net, val_data.inputs)
             verr = vp - val_data.targets
             val_losses[epoch] = float(verr @ verr) / len(verr)
+        for name, losses in (("training", train_losses), ("validation", val_losses)):
+            if losses is not None and not np.isfinite(losses[epoch]):
+                raise FitError(f"{name} loss of epoch {epoch} is {losses[epoch]}: training diverged")
     best_val = int(np.argmin(val_losses)) if val_losses is not None else None
     return TrainResult(net=net, train_losses=train_losses, val_losses=val_losses,
                        best_val_epoch=best_val)

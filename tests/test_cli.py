@@ -520,11 +520,51 @@ class TestExitCodes:
     def test_training_divergence(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"
         write_series_csv(csv, generate_synthetic("random-walk", 200, seed=0))
-        code = main(["fit-hybrid", "--input", str(csv), "--out", str(tmp_path / "o"),
-                     "--order", "1,1,0", "--lr", "1e300", "--epochs", "3",
-                     "--layers", "1", "--hidden", "4"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit-hybrid", "--input", str(csv), "--out", str(tmp_path / "o"),
+                         "--order", "1,1,0", "--lr", "1e300", "--epochs", "3",
+                         "--layers", "1", "--hidden", "4"])
         assert code == EXIT_TRAINING
         assert "non-finite gradient" in capsys.readouterr().err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_a_non_finite_loss_is_a_training_failure(self, tmp_path):
+        # One batch in one epoch: the gradients stay finite, and the update
+        # they make overflows the validation loss.
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 200, seed=0))
+        flags = ["--input", str(csv), "--order", "1,1,0", "--lr", "1e300", "--epochs", "1",
+                 "--batch", "1000", "--layers", "1", "--hidden", "4"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit-hybrid", "--out", str(tmp_path / "fit")] + flags) == EXIT_TRAINING
+            assert main(["compare", "--out", str(tmp_path / "cmp")] + flags) == EXIT_TRAINING
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert not (tmp_path / "fit").exists()
+
+        def refuse(constant):
+            raise ValueError(f"metrics.json holds {constant}")
+        metrics = json.loads((tmp_path / "cmp" / "metrics.json").read_text(encoding="utf-8"),
+                             parse_constant=refuse)
+        assert [row["model"] for row in metrics["rows"]] == ["arima"]
+        assert sorted(metrics["failed"]) == ["hybrid", "lstm"]
+        assert all(msg.startswith("FitError: validation loss of epoch 0 is inf")
+                   for msg in metrics["failed"].values())
+
+    def test_a_window_m_the_training_segment_cannot_fill_is_a_usage_error(self, tmp_path,
+                                                                         capsys):
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 500, {"base": 10.0}, seed=1))
+        flags = ["--input", str(csv), "--order", "0,1,0", "--epochs", "1", "--layers", "1",
+                 "--hidden", "2", "--window-m", "400"]
+        assert main(["compare", "--out", str(tmp_path / "cmp")] + flags) == EXIT_USAGE
+        out = capsys.readouterr().out
+        assert ("FAILED lstm: ConfigurationError: 357 training values cannot fill windows of "
+                "length 400") in out
+        assert ("FAILED hybrid: ConfigurationError: 356 training residuals cannot fill windows "
+                "of length 400") in out
+        assert main(["fit-hybrid", "--out", str(tmp_path / "fit")] + flags) == EXIT_USAGE
 
     # The exit code README documents for each NavcastError subclass.
     DOCUMENTED = {IngestionError: EXIT_INGESTION, AnalysisError: EXIT_ANALYSIS,

@@ -5,6 +5,7 @@ import pytest
 
 import navcast.arima as arima
 import navcast.hybrid as hybrid_mod
+import navcast.lstm as lstm_mod
 from navcast._blas import single_threaded
 from navcast.cli import generate_synthetic
 from navcast.errors import AnalysisError, ConfigurationError, DegenerateInputError
@@ -17,7 +18,7 @@ from navcast.hybrid import (
     sliding_window_evaluate,
 )
 from navcast.lstm import LstmNetwork, TrainConfig, _forward_batch
-from navcast.series import SplitSpec, TimeSeries, minmax_scale, minmax_unscale
+from navcast.series import SplitSpec, TimeSeries, fit_scale, minmax_scale, minmax_unscale
 from navcast.metrics import MODEL_KINDS, mse
 from conftest import as_series
 
@@ -47,6 +48,31 @@ class TestFitHybrid:
             fit_hybrid(train, s.slice(12, 30), arima.fit(train, arima.ArimaOrder(0, 1, 0)),
                        TrainConfig(window_m=20, epochs=1))
 
+    def test_validation_windows_continue_the_training_residuals(self, monkeypatch):
+        # The first validation window ends at the last training residual and
+        # predicts the first validation residual; val_mse and best_val_epoch
+        # are the lowest per-epoch validation loss and its epoch.
+        original, seen = lstm_mod.train, []
+
+        def recording_train(net, data, cfg, val_data=None):
+            seen.append((val_data, original(net, data, cfg, val_data=val_data)))
+            return seen[-1][1]
+        monkeypatch.setattr(lstm_mod, "train", recording_train)
+        s = sine_walk(300, seed=1)
+        train, val = s.slice(0, 250), s.slice(250, 300)
+        model = arima.fit(train, arima.ArimaOrder(1, 1, 0))
+        cfg = TrainConfig(epochs=12, layers=1, hidden_dim=4, window_m=10, seed=0)
+        hyb = fit_hybrid(train, val, model, cfg)
+        [(val_data, result)] = seen
+        stream = minmax_scale(arima.residuals(model, s), hyb.residual_scale)
+        n_train = len(stream) - len(val)
+        assert len(val_data.targets) == len(val)
+        assert np.array_equal(val_data.inputs[0], stream[n_train - 10: n_train])
+        assert val_data.targets[0] == stream[n_train]
+        assert np.argmin(result.val_losses) != np.argmax(result.val_losses)
+        assert hyb.best_val_epoch == int(np.argmin(result.val_losses))
+        assert hyb.val_mse == float(np.min(result.val_losses))
+
     def test_random_walk_residuals_near_white(self):
         # No nonlinear part: the LSTM should learn almost nothing and the
         # hybrid must stay within 2x of the ARIMA-alone test MSE.
@@ -59,6 +85,21 @@ class TestFitHybrid:
 
 
 class TestSlidingWindowEvaluate:
+    def test_lstm_kind_scales_on_the_training_segment_alone(self, monkeypatch):
+        original, scales = lstm_mod.make_windows, []
+
+        def recording_make_windows(values, m, scale):
+            scales.append(scale)
+            return original(values, m, scale)
+        monkeypatch.setattr(lstm_mod, "make_windows", recording_make_windows)
+        # A steady climb: the validation segment leaves the training range.
+        s = generate_synthetic("random-walk", 200, {"drift": 0.01, "sigma": 0.002}, seed=2)
+        spec = SplitSpec(140, 20, 40)
+        train_scale = fit_scale(s.values[:140])
+        assert fit_scale(s.values[:160]) != train_scale
+        sliding_window_evaluate(s, spec, "lstm", FAST)
+        assert scales == [train_scale, train_scale]
+
     def test_naive_persistence_closed_form(self):
         # ARIMA(0,1,0) with negligible drift: each prediction is yesterday's
         # actual plus the train-segment drift.

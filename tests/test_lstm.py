@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from collections import namedtuple
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from navcast.lstm import (
     LstmCellParams,
     LstmNetwork,
     PARAM_FIELDS,
+    SupervisedWindowSet,
     TrainConfig,
     bptt_gradients,
     deserialize,
@@ -448,7 +450,6 @@ class TestBpttGradients:
             assert np.max(np.abs(g - w)) <= 1e-12 * scale
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-300)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_gradient_names_its_layer_and_field(self, rng):
         # Layer 0 sees x = 1e300 through unit weights on its f, i and o
         # gates, which saturate to exactly 1, so their gradients are exactly
@@ -460,8 +461,11 @@ class TestBpttGradients:
             W[:, -1] = 1.0
         layer.W_c[:, -1] = 1e-300
         net.head_w = np.full(2, 1e10)
-        with pytest.raises(FitError, match=r"^non-finite gradient in layer 0 W_c$"):
-            bptt_gradients(net, np.array([[1e300]]), np.array([0.0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FitError, match=r"^non-finite gradient in layer 0 W_c$"):
+                bptt_gradients(net, np.array([[1e300]]), np.array([0.0]))
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 class TestMakeWindows:
@@ -521,9 +525,54 @@ class TestTrain:
             losses.append(train(net, data, cfg).train_losses)
         assert np.array_equal(losses[0], losses[1])
 
+    def test_each_epoch_batches_a_fresh_seeded_permutation(self, monkeypatch):
+        data = linear_recurrence_windows(n_windows=50)
+        cfg = TrainConfig(layers=1, hidden_dim=3, window_m=4, epochs=3, batch_size=16, seed=5)
+        original, batches = lstm_mod.bptt_gradients, []
+
+        def recording(net, X, y):
+            batches.append((X.copy(), y.copy()))
+            return original(net, X, y)
+        monkeypatch.setattr(lstm_mod, "bptt_gradients", recording)
+        train(init_network(1, 3, 1, np.random.default_rng(0)), data, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        want = [order[start: start + 16] for order in (rng.permutation(50) for _ in range(3))
+                for start in range(0, 50, 16)]
+        assert len(batches) == len(want) == 12
+        for (X, y), idx in zip(batches, want):
+            assert np.array_equal(X, data.inputs[idx]) and np.array_equal(y, data.targets[idx])
+
+    def test_best_val_epoch_is_the_lowest_validation_loss(self):
+        data = linear_recurrence_windows(n_windows=60)
+        val = linear_recurrence_windows(n_windows=20, x0=0.5)
+        cfg = TrainConfig(layers=1, hidden_dim=4, window_m=4, epochs=12, batch_size=16, seed=1)
+        result = train(init_network(1, 4, 1, np.random.default_rng(0)), data, cfg, val_data=val)
+        losses = result.val_losses
+        assert np.argmin(losses) != np.argmax(losses)
+        assert result.best_val_epoch == int(np.argmin(losses))
+
+    @pytest.mark.parametrize("which", ["training", "validation"])
+    def test_a_non_finite_loss_raises_fit_error_without_numpy_warnings(self, which):
+        data = linear_recurrence_windows(n_windows=30)
+        if which == "training":
+            # The squared errors overflow; the zero output head keeps every
+            # gradient finite.
+            data, val, lr = SupervisedWindowSet(data.inputs, np.full(30, 1e200)), None, 0.005
+        else:
+            # One batch per epoch: the first update scales the head by about
+            # 1e300, so the validation pass overflows before any gradient can.
+            val, lr = data, 1e300
+        cfg = TrainConfig(learning_rate=lr, layers=1, hidden_dim=4, window_m=4, epochs=2,
+                          batch_size=64)
+        net = init_network(1, 4, 1, np.random.default_rng(0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FitError, match=rf"^{which} loss of epoch 0 is inf"):
+                train(net, data, cfg, val_data=val)
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_empty_data_rejected(self, rng):
         net = init_network(1, 3, 1, rng)
-        from navcast.lstm import SupervisedWindowSet
         empty = SupervisedWindowSet(np.empty((0, 4)), np.empty(0))
         with pytest.raises(ConfigurationError):
             train(net, empty, TrainConfig(epochs=1))
