@@ -59,6 +59,8 @@ def ingest_csv(path) -> TimeSeries:
         raise IngestionError(f"input file not found: {p}")
     try:
         lines = p.read_bytes().decode("utf-8").splitlines()
+    except OSError as exc:
+        raise IngestionError(f"{p}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise IngestionError(f"{p}: byte {exc.start}: not UTF-8 text") from None
     if not lines:
@@ -274,6 +276,26 @@ def _exit_code(exc: BaseException) -> int:
     return EXIT_TRAINING  # FitError, and a kind's LinAlgError or FloatingPointError
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+
+
+def _check_out_dir(path: Path):
+    """Refuse, before any work, an output directory that cannot be made: the
+    path, or the nearest of its ancestors that exists, is not a directory."""
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigurationError(f"output directory {str(path)!r}: {str(p)!r} "
+                                         "is not a directory")
+            return
+
+
 def _parse_split(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
@@ -308,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         if need_input:
             p.add_argument("--input", required=True, help="CSV file with header date,nav")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_parse_seed, default=0)
 
     def add_fit_flags(p):
         add_common(p)
@@ -359,6 +381,8 @@ def main(argv=None) -> int:
     try:
         out_dir = Path(args.out)
         if args.command == "synth":
+            target = Path(args.output) if args.output else out_dir / "synthetic.csv"
+            _check_out_dir(target.parent)
             params = {}
             for item in args.param:
                 key, _, value = item.partition("=")
@@ -379,12 +403,12 @@ def main(argv=None) -> int:
                     f"synthetic value at index {bad[0]} is {float(series.values[bad[0]])!r}, "
                     "not a positive NAV; raise --param base"
                 )
-            out_dir.mkdir(parents=True, exist_ok=True)
-            target = Path(args.output) if args.output else out_dir / "synthetic.csv"
+            target.parent.mkdir(parents=True, exist_ok=True)
             write_series_csv(target, series)
             print(f"wrote {len(series)} rows to {target}")
             return EXIT_OK
 
+        _check_out_dir(out_dir)
         series = ingest_csv(args.input)
         if args.command == "analyze":
             d = cmd_analyze(series, out_dir, max_lag=args.max_lag)["stationary_d"]
@@ -411,6 +435,9 @@ def main(argv=None) -> int:
     except NavcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except OSError as exc:  # ingest_csv raises IngestionError for its own, so this is a write
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

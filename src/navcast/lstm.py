@@ -11,7 +11,11 @@ of [W | b] rows in the order f, i, o, c_tilde (W_f ... b_o are views of its
 blocks), so each gate is a contiguous block of rows and a_t = [h_{t-1}; x_t; 1]
 gives all four pre-activations in one GEMM.  The backward pass gets the
 weight and bias gradients, in the same layout, from one GEMM per step,
-dz @ a_t^T, and the input gradient from W^T @ dz.
+dz @ a_t^T, and the input gradient from W^T @ dz.  For backpropagation the
+forward pass keeps per step only g_t, C_t and h_t; the backward pass
+rebuilds a_t and tanh(C_t) with the forward's own numpy calls on the same
+values, so the gradients are the bits a full tape would give, and drops
+each step's record once that step is done.
 
 `forward`, `bptt_gradients` and `train` run every OpenBLAS pool at one thread
 (navcast._blas): their small GEMMs gain nothing from a second thread.
@@ -135,6 +139,8 @@ class TrainConfig:
             raise ConfigurationError("all TrainConfig sizes must be positive")
         if not 0 < self.learning_rate < np.inf:
             raise ConfigurationError("learning rate must be finite and positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass
@@ -204,12 +210,17 @@ def _cell_step(W, a, C_prev, g, C, tC, h):
 def _forward_batch(net: LstmNetwork, X: np.ndarray, want_cache: bool = False):
     """Batched forward over windows X of shape (B, m); scalar inputs per step.
 
-    Every per-step array is (rows, B), a_t = [h_{t-1}; x_t; 1] included.
-    Each step allocates its own small arrays, which the allocator recycles
-    from call to call; one (m, rows, B) block per layer would be returned to
-    the OS and page-faulted in again on every call.  Returns predictions (B,)
-    and, when requested, each layer's per-step (a_t, gates, C_{t-1},
-    tanh(C_t)) and the top layer's last output, which backpropagation needs.
+    Every per-step array is (rows, B).  Each layer refills one operand
+    buffer a_t = [h_{t-1}; x_t; 1] at every step; the gates g_t, the state
+    C_t and the output h_t are allocated per step, which the allocator
+    recycles from call to call (one (m, rows, B) block per layer would be
+    returned to the OS and page-faulted in again on every call).  Without
+    a cache, g_t and tanh(C_t) go to one buffer per layer as well.
+
+    Returns predictions (B,) and, when requested, the record that
+    `bptt_gradients` rebuilds the rest of the forward pass from: the
+    sequences seen by the stack, seqs[0] the inputs x_t (B,) and seqs[l + 1]
+    layer l's outputs h_t (H, B), and each layer's per-step (g_t, C_t).
     """
     if X.ndim != 2 or len(X) == 0:
         raise ConfigurationError(f"a batch must be a nonempty (B, m) array, got shape {X.shape}")
@@ -219,30 +230,30 @@ def _forward_batch(net: LstmNetwork, X: np.ndarray, want_cache: bool = False):
                                  f"takes {net.layers[0].input_dim}")
     if m == 0:
         raise ConfigurationError("a window needs at least one value")
-    xs = [X[:, t] for t in range(m)]
-    cache = []
+    seqs, tapes = [[X[:, t] for t in range(m)]], []
     for layer in net.layers:
         H, W = layer.hidden_dim, layer.Wb
-        C = np.zeros((H, B))
-        h = np.zeros((H, B))
-        steps, hs = [], []
-        for x in xs:
-            a = np.empty((W.shape[1], B))
-            a[:H] = h
+        a = np.empty((W.shape[1], B))
+        a[:H] = 0.0
+        a[-1] = 1.0
+        C = C_new = np.zeros((H, B))
+        g, tC = np.empty((4 * H, B)), np.empty((H, B))
+        tape, hs = [], []
+        for x in seqs[-1]:
             a[H:-1] = x
-            a[-1] = 1.0
-            g = np.empty((4 * H, B))
-            C_new, tC, h = np.empty((3, H, B))
+            if want_cache:  # a fresh g_t and C_t for the tape; else both update in place
+                g, C_new = np.empty((4 * H, B)), np.empty((H, B))
+                tape.append((g, C_new))
+            h = np.empty((H, B))
             _cell_step(W, a, C, g, C_new, tC, h)
-            if want_cache:
-                steps.append((a, g, C, tC))
+            a[:H] = h
             hs.append(h)
             C = C_new
-        cache.append(steps)
-        xs = hs
+        seqs.append(hs)
+        tapes.append(tape)
     preds = net.head_w @ h + net.head_b
     if want_cache:
-        return preds, (cache, h)
+        return preds, (seqs, tapes)
     return preds
 
 
@@ -264,7 +275,7 @@ def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    preds, (cache, h_last) = _forward_batch(net, X, want_cache=True)
+    preds, (seqs, tapes) = _forward_batch(net, X, want_cache=True)
     B, m = X.shape
     if y.shape != (B,):
         raise ConfigurationError(f"{B} windows need {B} targets, got an array of shape {y.shape}")
@@ -272,6 +283,7 @@ def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
     loss = float(err @ err) / B
 
     d_pred = 2.0 * err / B  # (B,)
+    h_last = seqs[-1][-1]
     g_head_w = h_last @ d_pred
     g_head_b = float(d_pred.sum())
 
@@ -280,16 +292,24 @@ def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
 
     grads = []
     for li in range(len(net.layers) - 1, -1, -1):
-        W, H, steps = net.layers[li].Wb, net.layers[li].hidden_dim, cache[li]
+        W, H, tape = net.layers[li].Wb, net.layers[li].hidden_dim, tapes[li]
+        xs, hs = seqs[li], seqs[li + 1]
         W_in_T = W[:, :-1].T  # maps gate gradients back onto [h_prev; x]
         gW = np.zeros_like(W)  # its last column is the bias gradient
+        a = np.empty((W.shape[1], B))  # a_t = [h_{t-1}; x_t; 1], rebuilt per step
+        a[-1] = 1.0
+        zeros = np.zeros((H, B))
         dz = np.empty((4 * H, B))
         dz_sig, dz_c = dz[:3 * H], dz[3 * H:]
         dh_next = np.zeros((H, B))
         dC_next = np.zeros((H, B))
         d_inputs = [None] * m
         for t in range(m - 1, -1, -1):
-            a, g, C_prev, tC = steps[t]
+            g, C = tape[t]
+            C_prev = tape[t - 1][1] if t else zeros
+            a[:H] = hs[t - 1] if t else zeros
+            a[H:-1] = xs[t]
+            tC = np.tanh(C)
             f, i, o, c_tilde = g[:H], g[H:2 * H], g[2 * H:3 * H], g[3 * H:]
             dh = d_out[t] + dh_next
             dC = dC_next + dh * o * (1.0 - tC * tC)
@@ -304,6 +324,7 @@ def bptt_gradients(net: LstmNetwork, X: np.ndarray, y: np.ndarray):
             dh_next = da[:H]
             d_inputs[t] = da[H:]
             dC_next = dC * f
+            tape[t] = d_out[t] = None  # step t was the last to read them
         layer_grads = LstmCellParams.wrap(gW)
         name = layer_grads._non_finite_field()
         if name is not None:

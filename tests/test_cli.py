@@ -378,6 +378,12 @@ class TestSynthCommand:
         assert np.max(np.abs(np.diff(s.values))) < 0.01
 
 
+    def test_output_writes_only_where_it_is_told(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--n", "40", "--output", "new/deep/x.csv"]) == EXIT_OK
+        assert len(ingest_csv(tmp_path / "new" / "deep" / "x.csv")) == 40
+        assert [p.name for p in tmp_path.iterdir()] == ["new"]
+
     def test_non_positive_values_refused(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(["synth", "--kind", "linear-plus-sine", "--n", "300",
@@ -611,6 +617,59 @@ class TestExitCodes:
             if command in ("fit-hybrid", "compare"):
                 argv += ["--epochs", "1", "--layers", "1", "--hidden", "2", "--window-m", "5"]
             assert main(argv) == self.documented_code(command, stage, error)
+
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    @pytest.mark.parametrize("command", ["synth", "analyze", "fit-arima", "fit-hybrid", "compare"])
+    def test_a_negative_seed_is_refused_before_any_work(self, tmp_path, capsys, command, seed):
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 300, seed=0))
+        argv = [command, "--seed", seed, "--out", str(tmp_path / "o")]
+        assert main(argv + ([] if command == "synth" else ["--input", str(csv)])) == EXIT_USAGE
+        assert (f"error: argument --seed: seed must be a non-negative integer, got '{seed}'"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == [csv]
+
+    @pytest.mark.parametrize("command, out", [
+        ("synth", "FILE/sub"), ("analyze", "FILE"), ("fit-arima", "FILE/sub"),
+        ("fit-hybrid", "FILE"), ("compare", "FILE/sub")])
+    def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, out):
+        def no_work(*args, **kwargs):
+            pytest.fail(f"{command} started work with an unusable --out")
+        for module, name in ((cli_mod, "generate_synthetic"), (cli_mod, "adf_test"),
+                             (arima_mod, "adf_test"), (arima_mod, "fit"), (lstm_mod, "train")):
+            monkeypatch.setattr(module, name, no_work)
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 300, seed=0))
+        (tmp_path / "FILE").write_text("kept\n", encoding="utf-8")
+        argv = [command, "--out", str(tmp_path / out)]
+        assert main(argv + ([] if command == "synth" else ["--input", str(csv)])) == EXIT_USAGE
+        assert capsys.readouterr().err == (f"error: output directory {str(tmp_path / out)!r}: "
+                                           f"{str(tmp_path / 'FILE')!r} is not a directory\n")
+        assert (tmp_path / "FILE").read_text(encoding="utf-8") == "kept\n"
+
+    def test_a_failed_write_is_a_usage_error(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 300, seed=0))
+        out = tmp_path / "o"
+        (out / "adf.json").mkdir(parents=True)
+        assert main(["analyze", "--input", str(csv), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write outputs: ") and err.count("\n") == 1
+        assert main(["synth", "--out", str(tmp_path), "--output", str(out)]) == EXIT_USAGE
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_an_unreadable_input_is_an_ingestion_error(self, tmp_path, capsys, monkeypatch):
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, generate_synthetic("random-walk", 300, seed=0))
+
+        def denied(self):
+            raise PermissionError(13, "Permission denied", str(self))
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        code = main(["analyze", "--input", str(csv), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INGESTION
+        assert capsys.readouterr().err == f"error: {csv}: Permission denied\n"
+        assert not (tmp_path / "o").exists()
 
     def test_analysis_error_on_tiny_series(self, tmp_path):
         p = tmp_path / "tiny.csv"
