@@ -46,6 +46,10 @@ CASES = {
     # so the largest-remainder rule decides it.
     "compare-n401-seed0": (("linear-plus-sine", 401, SINE, 11),
                            ["compare", "--seed", "0", *NET_FLAGS]),
+    # The rolling-refit walk: every test step refits ARIMA(1,1,0) on its window.
+    "compare-n400-seed7-refit": (("linear-plus-sine", 400, SINE, 11),
+                                 ["compare", "--seed", "7", "--refit", "arima",
+                                  "--order", "1,1,0", *NET_FLAGS]),
     "fit-arima-random-walk-n250": (("random-walk", 250, {}, 0), ["fit-arima"]),
     "fit-arima-ar1-n250": (("ar1", 250, {}, 0), ["fit-arima"]),
     "fit-arima-linear-plus-sine-n250": (("linear-plus-sine", 250, {}, 0), ["fit-arima"]),
