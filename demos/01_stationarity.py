@@ -12,7 +12,7 @@ import navcast as nc
 
 rng = np.random.default_rng(7)
 values = 2.0 + np.cumsum(rng.normal(0.0005, 0.01, size=600))
-series = nc.TimeSeries.from_values(values, name="demo-nav")
+series = nc.TimeSeries.from_values(values)
 
 for d in (0, 1):
     x = nc.difference(series, d)

@@ -14,7 +14,7 @@ n, phi = 1200, (0.55, 0.25)
 z = np.zeros(n)
 for t in range(2, n):
     z[t] = phi[0] * z[t - 1] + phi[1] * z[t - 2] + rng.normal(0, 0.01)
-series = nc.TimeSeries.from_values(2.0 + np.cumsum(z), name="ar2-integrated")
+series = nc.TimeSeries.from_values(2.0 + np.cumsum(z))
 
 report = nc.select_order(series)
 print(f"chosen order: {report.chosen}")

@@ -23,8 +23,10 @@ order search and the rolling refits fit.
 
 The residual recursion eps = phi(B) z / (1 - theta(B)) is one FIR pass
 (`np.convolve`) and one unit lower triangular banded solve (LAPACK dtbtrs).
-Fits, residuals and forecasts all run it: the one-step forecast is the next
-value whose residual is zero (Box, Jenkins, Reinsel & Ljung, ch. 5).
+Fits run it on the training sample; forecasts and residuals of a fitted
+model read one run of it (`_forecast_and_residuals`): the one-step forecast
+is the next value whose residual is zero (Box, Jenkins, Reinsel & Ljung,
+ch. 5).
 
 dtbtrs and setulb are the only compiled scipy routines navcast calls.  The
 module loads them from the extension modules scipy.linalg._flapack and
@@ -386,6 +388,15 @@ def forecast_one(model: ArimaModel, history: TimeSeries) -> float:
     return _forecast_and_residuals(model, history)[0]
 
 
+def residuals(model: ArimaModel, series: TimeSeries) -> np.ndarray:
+    """One-step in-sample prediction errors where a genuine prediction exists.
+
+    Length is n - d - p: the first p differenced points only condition the
+    recursion and receive no prediction.
+    """
+    return _forecast_and_residuals(model, series)[1]
+
+
 def _forecast_and_residuals(model: ArimaModel, history: TimeSeries):
     """(forecast_one(model, history), residuals(model, history)) from one run of
     the recursion: the residuals of history are those of the extended series
@@ -394,25 +405,13 @@ def _forecast_and_residuals(model: ArimaModel, history: TimeSeries):
     # The recursion reads the last p values and the last q residuals of z.
     if len(history) < d + max(p + 1, q):
         raise DegenerateInputError(
-            f"history of length {len(history)} too short for ARIMA{model.order} forecast"
+            f"series of length {len(history)} too short for one-step reads of "
+            f"ARIMA{model.order}: needs d + max(p + 1, q) = {d + max(p + 1, q)}"
         )
     y = np.append(history.values, history.values[-1])
     z = np.diff(y, d) - model.intercept
     eps = _arma_residuals(z, model.ar_coeffs, model.ma_coeffs)
     return float(y[-1] - eps[-1]), eps[p:-1]
-
-
-def residuals(model: ArimaModel, series: TimeSeries) -> np.ndarray:
-    """One-step in-sample prediction errors where a genuine prediction exists.
-
-    Length is n - d - p: the first p differenced points only condition the
-    recursion and receive no prediction.
-    """
-    p, d, q = model.order
-    if len(series) < p + d + 1:
-        raise DegenerateInputError("series too short for residual extraction")
-    z = difference(series, d) - model.intercept
-    return _arma_residuals(z, model.ar_coeffs, model.ma_coeffs)[p:]
 
 
 # ---------------------------------------------------------------------------

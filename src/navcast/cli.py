@@ -91,11 +91,7 @@ def ingest_csv(path) -> TimeSeries:
     for (d1, _, _), (d2, _, ln) in zip(records, records[1:]):
         if d1 == d2:
             raise IngestionError(f"{p}: line {ln}: duplicate date {d2}")
-    return TimeSeries(
-        tuple(r[0] for r in records),
-        np.array([r[1] for r in records]),
-        name=p.stem,
-    )
+    return TimeSeries(tuple(r[0] for r in records), np.array([r[1] for r in records]))
 
 
 def write_series_csv(path, series: TimeSeries):
@@ -138,7 +134,7 @@ def generate_synthetic(kind: str, n: int, params: dict | None = None, seed: int 
     if params:
         raise ConfigurationError(f"unknown parameters for {kind}: {sorted(params)}")
     ts = tuple(SYNTH_START_DATE + datetime.timedelta(days=i) for i in range(n))
-    return TimeSeries(ts, values, name=f"synth-{kind}")
+    return TimeSeries(ts, values)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ class HybridModel:
     residual_net: LstmNetwork
     residual_scale: ScaleParams
     window_m: int
-    val_mse: float | None = None
-    best_val_epoch: int | None = None
+    val_mse: float
+    best_val_epoch: int
 
 
 @dataclass
@@ -83,7 +83,7 @@ def fit_hybrid(
     train: TimeSeries,
     val: TimeSeries,
     arima_model: arima_mod.ArimaModel,
-    cfg: TrainConfig = None,
+    cfg: TrainConfig = TrainConfig(),
 ) -> HybridModel:
     """Train the residual LSTM on the in-sample errors of `arima_model`.
 
@@ -91,13 +91,8 @@ def fit_hybrid(
     its residuals over train; their continuation through val only scores each
     epoch (best-epoch validation MSE is recorded); weights are last-epoch.
     """
-    cfg = cfg or TrainConfig()
-    joint = TimeSeries(
-        train.timestamps + val.timestamps,
-        np.concatenate((train.values, val.values)),
-        train.name,
-    )
-    stream = arima_mod.residuals(arima_model, joint)
+    values = np.concatenate((train.values, val.values))
+    stream = arima_mod.residuals(arima_model, TimeSeries(train.timestamps + val.timestamps, values))
     n_train = len(stream) - len(val)
     if n_train <= cfg.window_m:
         raise ConfigurationError(
@@ -125,7 +120,7 @@ def sliding_window_evaluate(
     series: TimeSeries,
     spec: SplitSpec,
     kind: str,
-    cfg: TrainConfig = None,
+    cfg: TrainConfig = TrainConfig(),
     window_L: int = DEFAULT_WINDOW_L,
     refit: str = "none",
     arima_order="auto",
@@ -152,7 +147,6 @@ def sliding_window_evaluate(
         raise ConfigurationError(f"unknown refit policy {refit!r}")
     if window_L < 1:
         raise ConfigurationError(f"window_L must be at least 1, got {window_L}")
-    cfg = cfg or TrainConfig()
     if spec.total != len(series):
         raise ConfigurationError(
             f"split total {spec.total} != series length {len(series)}"
@@ -247,7 +241,7 @@ def failure_message(exc: BaseException) -> str:
 def compare_models(
     series: TimeSeries,
     spec: SplitSpec,
-    cfg: TrainConfig = None,
+    cfg: TrainConfig = TrainConfig(),
     window_L: int = DEFAULT_WINDOW_L,
     refit: str = "none",
     arima_order="auto",
@@ -261,7 +255,6 @@ def compare_models(
     running; lstm still runs.  When every kind fails, ComparisonError carries
     each kind's exception.
     """
-    cfg = cfg or TrainConfig()
     runs, failures = {}, {}
     for kind in MODEL_KINDS:
         if kind == "hybrid" and "arima" in failures:

@@ -124,7 +124,7 @@ class LstmNetwork:
                 raise NumericalError(f"{name} contains non-finite entries")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.005
     epochs: int = 100

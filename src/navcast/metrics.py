@@ -65,21 +65,21 @@ class MetricsReport:
 
 
 def build_report(runs) -> MetricsReport:
-    """One row per evaluation run, ordered arima, lstm, hybrid, then any other kind.
+    """One row per evaluation run, in MODEL_KINDS order.
 
-    ``runs`` is an iterable of objects with model_kind, predictions, actuals.
-    The best model is the lowest-MSE row; an exact tie on MSE reports "tie".
+    ``runs`` is an iterable of arima, lstm and hybrid runs, objects with
+    model_kind, predictions, actuals; a run of any other kind raises
+    ConfigurationError.  The best model is the lowest-MSE row; an exact tie
+    on MSE reports "tie".
     """
-    by_kind = {}
+    runs = list(runs)
     for run in runs:
+        if run.model_kind not in MODEL_KINDS:
+            raise ConfigurationError(f"unknown model kind {run.model_kind!r}")
         if len(run.predictions) == 0:
             raise ConfigurationError(f"empty evaluation run for {run.model_kind}")
-        by_kind[run.model_kind] = run
-    # Stable sort: kinds outside MODEL_KINDS follow it in input order.
-    rank = {kind: i for i, kind in enumerate(MODEL_KINDS)}
-    ordered = sorted(by_kind.values(), key=lambda run: rank.get(run.model_kind, len(rank)))
     rows = []
-    for run in ordered:
+    for run in sorted(runs, key=lambda run: MODEL_KINDS.index(run.model_kind)):
         row_mse = mse(run.predictions, run.actuals)
         rows.append(MetricsRow(
             model=run.model_kind,

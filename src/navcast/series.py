@@ -26,7 +26,6 @@ class TimeSeries:
 
     timestamps: tuple
     values: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         ts = tuple(self.timestamps)
@@ -56,14 +55,14 @@ class TimeSeries:
         return self.values[start:stop]
 
     def slice(self, start: int, stop: int) -> "TimeSeries":
-        return TimeSeries(self.timestamps[start:stop], self.segment(start, stop), self.name)
+        return TimeSeries(self.timestamps[start:stop], self.segment(start, stop))
 
     @staticmethod
-    def from_values(values, name: str = "") -> "TimeSeries":
+    def from_values(values) -> "TimeSeries":
         """Attach consecutive daily timestamps from 2000-01-01 to bare values."""
         start = datetime.date(2000, 1, 1)
         ts = tuple(start + datetime.timedelta(days=i) for i in range(len(values)))
-        return TimeSeries(ts, values, name)
+        return TimeSeries(ts, values)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,8 @@ def random_walk(n, seed, drift=0.0, sigma=1.0):
     return np.cumsum(rng.normal(drift, sigma, n))
 
 
-def as_series(values, name="test"):
-    return TimeSeries.from_values(values, name)
+def as_series(values):
+    return TimeSeries.from_values(values)
 
 
 @pytest.fixture

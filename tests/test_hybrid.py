@@ -268,7 +268,7 @@ def audit_walks(base, spec, cfg):
     """
     verdicts = {}
     for kind in MODEL_KINDS:
-        s = AuditedSeries(base.timestamps, base.values, base.name)
+        s = AuditedSeries(base.timestamps, base.values)
         walks, arima_run = [], None
         if kind == "hybrid":
             arima_run = sliding_window_evaluate(s, spec, "arima", cfg)

@@ -82,16 +82,10 @@ class TestBuildReport:
         for r in report.rows:
             assert r.rmse == pytest.approx(np.sqrt(r.mse), rel=1e-12)
 
-    def test_other_kinds_follow_in_input_order(self):
-        runs = [
-            run("naive", [1.0], [2.0]),
-            run("hybrid", [1.0], [1.1]),
-            run("drift", [1.0], [1.5]),
-            run("arima", [1.0], [1.2]),
-        ]
-        report = build_report(runs)
-        assert [r.model for r in report.rows] == ["arima", "hybrid", "naive", "drift"]
-        assert report.rows[2].mse == pytest.approx(1.0, abs=1e-15)
+    def test_a_run_of_another_kind_is_refused(self):
+        runs = [run("hybrid", [1.0], [1.1]), run("naive", [1.0], [2.0])]
+        with pytest.raises(ConfigurationError, match="unknown model kind 'naive'"):
+            build_report(runs)
 
     def test_single_run(self):
         report = build_report([run("arima", [1.0], [2.0])])
