@@ -58,7 +58,8 @@ def ingest_csv(path) -> TimeSeries:
     if not p.is_file():
         raise IngestionError(f"input file not found: {p}")
     try:
-        lines = p.read_bytes().decode("utf-8").splitlines()
+        # utf-8-sig drops the byte-order mark that spreadsheet exports often begin with.
+        lines = p.read_bytes().decode("utf-8-sig").splitlines()
     except OSError as exc:
         raise IngestionError(f"{p}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
@@ -220,7 +221,9 @@ def cmd_fit_hybrid(series: TimeSeries, spec: SplitSpec, order, cfg: TrainConfig,
 def cmd_compare(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig, out_dir: Path,
                 window_L: int = DEFAULT_WINDOW_L, refit: str = "none",
                 order="auto"):
-    """Three-model rolling comparison; emits predictions.csv, metrics.json, models/."""
+    """Three-model rolling comparison; emits predictions.csv, metrics.json, and
+    models/arima.txt when the arima kind succeeded (with models/lstm.txt when
+    the hybrid did too)."""
     result = compare_models(series, spec, cfg, window_L=window_L, refit=refit,
                             arima_order=order)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -241,9 +244,10 @@ def cmd_compare(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig, out_dir: 
         payload["failed"] = messages
     (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
-    if "hybrid" in result.runs:
-        hybrid = result.runs["hybrid"].model  # the evaluated training-segment fit
-        _write_models(out_dir, hybrid.arima, hybrid.residual_net)
+    if "arima" in result.runs:  # its training-segment fit is the one the hybrid trains on
+        hybrid = result.runs.get("hybrid")
+        _write_models(out_dir, result.runs["arima"].model,
+                      hybrid.model.residual_net if hybrid else None)
 
     print(format_table(result.report))
     for kind, msg in messages.items():
@@ -309,10 +313,9 @@ def _parse_order(text: str):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("order must be 'auto' or p,d,q")
     try:
-        p, d, q = (int(x) for x in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError("order parts must be integers")
-    return ArimaOrder(p, d, q)
+        return ArimaOrder(*(int(x) for x in parts))
+    except ValueError:  # not an integer, or negative
+        raise argparse.ArgumentTypeError(f"order parts must be non-negative integers, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

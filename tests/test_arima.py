@@ -479,9 +479,14 @@ class TestForecastOne:
 
     def test_insufficient_history_for_the_ma_terms(self):
         # Three values differenced twice leave one residual; MA(2) needs two.
+        # residuals runs the forecast's recursion, so it refuses them too.
         m = fit(as_series(random_walk(100, seed=12)), ArimaOrder(0, 2, 2))
-        with pytest.raises(DegenerateInputError):
-            forecast_one(m, as_series([1.0, 2.0, 4.0]))
+        for read in (forecast_one, residuals):
+            with pytest.raises(DegenerateInputError,
+                               match=r"^series of length 3 too short for one-step reads of "
+                                     r"ARIMA\(0,2,2\)"):
+                read(m, as_series([1.0, 2.0, 4.0]))
+        assert len(residuals(m, as_series([1.0, 2.0, 4.0, 7.0]))) == 2
 
 
 def arma_recursion(z, phi, theta):

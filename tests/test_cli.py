@@ -94,6 +94,21 @@ class TestIngestCsv:
         with pytest.raises(IngestionError, match=r"in\.csv: byte 24: not UTF-8"):
             ingest_csv(p)
 
+    def test_a_byte_order_mark_before_the_header_is_read(self, tmp_path):
+        text = "date,nav\n2021-07-29,1.5\n2021-07-30,1.6\n"
+        plain = ingest_csv(self.write(tmp_path, text))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        series = ingest_csv(marked)
+        assert series.timestamps == plain.timestamps
+        assert series.values.tobytes() == plain.values.tobytes()
+
+    def test_blank_lines_are_skipped_and_still_counted(self, tmp_path):
+        s = ingest_csv(self.write(tmp_path, "date,nav\n\n2021-07-29,1.5\n   \n2021-07-30,1.6\n"))
+        assert s.values.tolist() == [1.5, 1.6]
+        with pytest.raises(IngestionError, match="line 4: bad nav value"):
+            ingest_csv(self.write(tmp_path, "date,nav\n\n2021-07-29,1.5\n2021-07-30,abc\n"))
+
     def test_paper_scale_file(self, tmp_path):
         s = generate_synthetic("random-walk", 1260, {"sigma": 0.02}, seed=0)
         p = tmp_path / "nav.csv"
@@ -339,6 +354,26 @@ class TestCompareCommand:
                                      "hybrid": "FitError: refit diverged"}
         assert [r["model"] for r in payload["rows"]] == ["lstm"]
 
+    def test_arima_model_is_written_when_only_the_hybrid_fails(self, tmp_path):
+        # ARIMA(5,1,5) on 10-value windows leaves 4 residuals per step, fewer
+        # than the net's window of 5: the hybrid fails, the arima kind does not.
+        series = generate_synthetic("linear-plus-sine", 400, {"base": 10.0}, seed=0)
+        csv, out = tmp_path / "s.csv", tmp_path / "o"
+        write_series_csv(csv, series)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the ARIMA(5,1,5) fit is non-stationary
+            code = main(["compare", "--input", str(csv), "--out", str(out), "--epochs", "1",
+                         "--layers", "1", "--hidden", "4", "--window-m", "5",
+                         "--order", "5,1,5", "--window-L", "10"])
+            train_fit = arima_mod.fit(series.slice(0, SplitSpec.proportional(400).train_len),
+                                      arima_mod.ArimaOrder(5, 1, 5))
+        assert code == EXIT_ANALYSIS
+        payload = json.loads((out / "metrics.json").read_text())
+        assert payload["failed"] == {
+            "hybrid": "DegenerateInputError: need 5 recent residuals, got 4"}
+        assert [p.name for p in (out / "models").iterdir()] == ["arima.txt"]
+        assert (out / "models" / "arima.txt").read_text() == arima_mod.serialize(train_fit)
+
     def test_model_files_deserializable(self, tmp_path):
         _, out = self.run_compare(tmp_path)
         arima_mod.deserialize((out / "models" / "arima.txt").read_text())
@@ -435,6 +470,60 @@ class TestExitCodes:
 
     def test_usage_error(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("text, message", [
+        ("Date,NAV\n2021-07-29,1.5\n2021-07-30,1.6\n", "line 1: expected header 'date,nav'"),
+        ("date,nav\n2021-07-29;1.5\n2021-07-30,1.6\n",
+         "line 2: expected 2 comma-separated fields"),
+        ("date,nav\n2021-07-29,1.5\n2021-07-30,1.6,1.7\n",
+         "line 3: expected 2 comma-separated fields"),
+        ("date,nav\n2021-07-29,1.5\n\n", "need at least 2 data rows"),
+    ], ids=["header", "one-field", "three-fields", "one-row"])
+    def test_a_malformed_input_is_an_ingestion_error(self, tmp_path, capsys, text, message):
+        csv, out = tmp_path / "in.csv", tmp_path / "o"
+        csv.write_text(text, encoding="utf-8")
+        assert main(["analyze", "--input", str(csv), "--out", str(out)]) == EXIT_INGESTION
+        assert capsys.readouterr().err == f"error: {csv}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--split", "100,50", "split must be A,B,C"),
+        ("--split", "100,50,x", "split parts must be integers"),
+        ("--order", "1,1", "order must be 'auto' or p,d,q"),
+        ("--order", "1,a,0", "order parts must be non-negative integers, got '1,a,0'"),
+        ("--order", "1,1,-1", "order parts must be non-negative integers, got '1,1,-1'"),
+    ])
+    def test_a_malformed_split_or_order_is_a_usage_error(self, tmp_path, capsys, flag, value,
+                                                          message):
+        csv, out = tmp_path / "s.csv", tmp_path / "o"
+        write_series_csv(csv, generate_synthetic("random-walk", 200, seed=0))
+        assert main(["compare", "--input", str(csv), "--out", str(out), flag, value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: {message}\n" in err
+        assert "_parse" not in err
+        assert not out.exists()
+
+    def test_a_synth_param_without_a_value_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["synth", "--param", "sigma", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: bad --param 'sigma', expected KEY=VALUE\n"
+        assert not out.exists()
+
+    def test_a_series_not_stationary_after_two_differences(self, tmp_path, capsys):
+        # Three cumulative sums of noise: its second difference is a random walk.
+        noise = np.random.default_rng(0).normal(0.0, 0.01, 120)
+        csv = tmp_path / "s.csv"
+        write_series_csv(csv, TimeSeries.from_values(1e3 + np.cumsum(np.cumsum(np.cumsum(noise)))))
+        out = tmp_path / "fit"
+        assert main(["fit-arima", "--input", str(csv), "--out", str(out)]) == EXIT_ANALYSIS
+        assert capsys.readouterr().err == ("error: series is not stationary after up to 2 "
+                                           "differences; unsuitable for ARIMA modelling\n")
+        assert not out.exists()
+        out = tmp_path / "analyze"
+        assert main(["analyze", "--input", str(csv), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "not stationary for d<=2\n"
+        adf = json.loads((out / "adf.json").read_text())
+        assert [adf[d]["is_stationary_5pct"] for d in "012"] == [False] * 3
 
     def test_non_numeric_synth_param(self, tmp_path, capsys):
         code = main(["synth", "--param", "sigma=abc", "--out", str(tmp_path / "o")])

@@ -220,6 +220,11 @@ class TestSlidingWindowEvaluate:
         with pytest.raises(ConfigurationError):
             sliding_window_evaluate(s, SplitSpec(200, 40, 60), "prophet", FAST)
 
+    def test_unknown_refit_policy(self):
+        s = sine_walk(300, seed=12)
+        with pytest.raises(ConfigurationError, match="^unknown refit policy 'sometimes'$"):
+            sliding_window_evaluate(s, SplitSpec(200, 40, 60), "arima", FAST, refit="sometimes")
+
     def test_spec_mismatch(self):
         s = sine_walk(300, seed=13)
         with pytest.raises(ConfigurationError):

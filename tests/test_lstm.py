@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -197,6 +198,12 @@ class TestGateMajorLayout:
         net = init_network(1, 3, 2, rng)
         getattr(net.layers[1], name)[-1] = np.inf
         with pytest.raises(NumericalError, match=rf"^{name} contains non-finite entries$"):
+            net.check()
+
+    def test_check_refuses_a_layer_that_does_not_read_the_one_below(self, rng):
+        net = init_network(1, 3, 2, rng)
+        net.layers[1] = random_cell(3, 2, rng)  # reads 2 values; layer 0 gives 3
+        with pytest.raises(ConfigurationError, match=r"^layer 1 input dim 2 != layer 0 hidden 3$"):
             net.check()
 
     @pytest.mark.parametrize("name, value", [("head_w", np.array([0.0, 0.0, np.inf])),
@@ -612,6 +619,16 @@ class TestTrain:
     def test_learning_rate_must_be_finite_and_positive(self, lr):
         with pytest.raises(ConfigurationError, match="finite and positive"):
             TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("size", ["epochs", "batch_size", "layers", "hidden_dim", "window_m"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_must_be_positive(self, size, value):
+        with pytest.raises(ConfigurationError, match="^all TrainConfig sizes must be positive$"):
+            TrainConfig(**{size: value})
+
+    def test_a_config_is_immutable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TrainConfig().epochs = 5
 
     @pytest.mark.parametrize("seed", [-1, -5])
     def test_seed_must_be_non_negative(self, seed):

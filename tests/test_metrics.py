@@ -38,6 +38,13 @@ class TestFormulas:
         with pytest.raises(ConfigurationError):
             mae([], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs(self, bad):
+        for metric in (mse, mae, rmse):
+            for pred, actual in (([1.0, bad], [1.0, 2.0]), ([1.0, 2.0], [bad, 2.0])):
+                with pytest.raises(ConfigurationError, match="^metrics require finite inputs$"):
+                    metric(pred, actual)
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
     @settings(max_examples=60, deadline=None)
     def test_rmse_squared_is_mse(self, values):
