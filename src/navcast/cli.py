@@ -58,8 +58,9 @@ def ingest_csv(path) -> TimeSeries:
     if not p.is_file():
         raise IngestionError(f"input file not found: {p}")
     try:
-        # utf-8-sig drops the byte-order mark that spreadsheet exports often begin with.
-        lines = p.read_bytes().decode("utf-8-sig").splitlines()
+        # Spreadsheet exports often begin with a byte-order mark.  Dropping it
+        # after decoding keeps a decode error's offset a byte offset in the file.
+        lines = p.read_bytes().decode("utf-8").removeprefix("\ufeff").splitlines()
     except OSError as exc:
         raise IngestionError(f"{p}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

@@ -102,6 +102,10 @@ class TestIngestCsv:
         series = ingest_csv(marked)
         assert series.timestamps == plain.timestamps
         assert series.values.tobytes() == plain.values.tobytes()
+        # A decode error still names its byte offset in the file, mark included.
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8") + b"\xff\n")
+        with pytest.raises(IngestionError, match=r"marked\.csv: byte 42: not UTF-8"):
+            ingest_csv(marked)
 
     def test_blank_lines_are_skipped_and_still_counted(self, tmp_path):
         s = ingest_csv(self.write(tmp_path, "date,nav\n\n2021-07-29,1.5\n   \n2021-07-30,1.6\n"))
