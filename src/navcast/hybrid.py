@@ -9,6 +9,8 @@ window of past observations only and appending the actual afterwards.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,17 +81,98 @@ def _train_net(stream, n_train: int, scale: ScaleParams, cfg: TrainConfig):
     return lstm_mod.train(net, data, cfg, val_data=val_windows)
 
 
+def _lstm_training(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig) -> tuple:
+    """The lstm kind's checks; returns the (stream, n_train, scale) its _train_net call takes.
+
+    The single-model baseline trains on scaled raw levels of train + val,
+    with the same window and config as the residual net.
+    """
+    train = series.slice(0, spec.train_len)
+    if len(train) <= cfg.window_m:
+        raise ConfigurationError(
+            f"{len(train)} training values cannot fill windows of length {cfg.window_m}")
+    val = series.slice(spec.train_len, spec.train_len + spec.val_len)
+    return np.concatenate((train.values, val.values)), len(train), fit_scale(train.values)
+
+
+def _spare_cpu() -> bool:
+    """Whether a forked worker can train beside this process: fork exists and 2+ CPUs are ours."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+class _WorkerTraceback(Exception):
+    """The cause given to an exception raised again from the training worker: its traceback."""
+
+
+def _train_in_worker(sender, args) -> None:
+    """A training worker's body: send ("net", the net _train_net(*args) trains, None)
+    or ("raised", the exception the training raised, its traceback)."""
+    import signal
+    import traceback
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's; it ends the worker
+    try:
+        message = "net", _train_net(*args).net, None
+    except Exception as exc:  # the parent raises it, or records it as the kind's failure
+        message = "raised", exc, traceback.format_exc()
+    sender.send(message)
+
+
+@contextlib.contextmanager
+def _training(*args):
+    """Yield a function that returns the net _train_net(*args) trains.
+
+    With a spare CPU the net trains in one forked worker from entry on, and
+    the function waits for it and raises what the training raised; otherwise
+    the function trains the net in process.  No worker outlives the block.
+    """
+    if not _spare_cpu():
+        yield lambda: _train_net(*args).net
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    worker = context.Process(target=_train_in_worker, args=(sender, args), daemon=True)
+    worker.start()
+    sender.close()
+
+    def net():
+        try:
+            outcome, value, trace = receiver.recv()
+        except EOFError:
+            worker.join()
+            raise RuntimeError(f"the lstm kind's training worker exited with code "
+                               f"{worker.exitcode} before it sent a net") from None
+        if outcome == "raised":
+            raise value from _WorkerTraceback(trace)
+        return value
+
+    try:
+        yield net
+    finally:
+        receiver.close()
+        worker.terminate()  # a worker still training trains a net no longer wanted
+        worker.join()
+        worker.close()
+
+
 def fit_hybrid(
     train: TimeSeries,
     val: TimeSeries,
     arima_model: arima_mod.ArimaModel,
     cfg: TrainConfig = TrainConfig(),
+    *,
+    _walk_residuals: int | None = None,
 ) -> HybridModel:
     """Train the residual LSTM on the in-sample errors of `arima_model`.
 
     `arima_model` is an ARIMA model already fitted on train.  The net trains on
     its residuals over train; their continuation through val only scores each
     epoch (best-epoch validation MSE is recorded); weights are last-epoch.
+    `_walk_residuals` is the fewest residuals a step of sliding_window_evaluate's
+    walk holds: fewer than the net's window is refused before the training.
     """
     values = np.concatenate((train.values, val.values))
     stream = arima_mod.residuals(arima_model, TimeSeries(train.timestamps + val.timestamps, values))
@@ -104,6 +187,8 @@ def fit_hybrid(
     bound = float(np.max(np.abs(stream[:n_train])))
     if bound == 0.0:
         raise DegenerateInputError("all training residuals are zero")
+    if _walk_residuals is not None and _walk_residuals < cfg.window_m:
+        raise DegenerateInputError(f"need {cfg.window_m} recent residuals, got {_walk_residuals}")
     scale = ScaleParams(-bound, bound)
     result = _train_net(stream, n_train, scale, cfg)
     return HybridModel(
@@ -116,6 +201,18 @@ def fit_hybrid(
     )
 
 
+def _check_walk(series: TimeSeries, spec: SplitSpec, refit: str, window_L: int) -> None:
+    """Refuse a refit policy, window_L or split that no kind can walk."""
+    if refit not in ("none", "arima"):
+        raise ConfigurationError(f"unknown refit policy {refit!r}")
+    if window_L < 1:
+        raise ConfigurationError(f"window_L must be at least 1, got {window_L}")
+    if spec.total != len(series):
+        raise ConfigurationError(
+            f"split total {spec.total} != series length {len(series)}"
+        )
+
+
 def sliding_window_evaluate(
     series: TimeSeries,
     spec: SplitSpec,
@@ -126,6 +223,7 @@ def sliding_window_evaluate(
     arima_order="auto",
     *,
     arima_run: EvalRun | None = None,
+    _lstm_fit: tuple | None = None,
 ) -> EvalRun:
     """Walk the test segment one step at a time with a trailing history window.
 
@@ -139,18 +237,12 @@ def sliding_window_evaluate(
     and adds only its residual correction, read off that run's per-step
     residuals.  So it takes its ARIMA order and refit policy from that run;
     `arima_order` and `refit` apply only when no run is given and it
-    evaluates one itself.
+    evaluates one itself.  `_lstm_fit` is the (scale, net) of an lstm kind
+    that compare_models checked and trained: with it the lstm kind only walks.
     """
     if kind not in MODEL_KINDS:
         raise ConfigurationError(f"unknown model kind {kind!r}")
-    if refit not in ("none", "arima"):
-        raise ConfigurationError(f"unknown refit policy {refit!r}")
-    if window_L < 1:
-        raise ConfigurationError(f"window_L must be at least 1, got {window_L}")
-    if spec.total != len(series):
-        raise ConfigurationError(
-            f"split total {spec.total} != series length {len(series)}"
-        )
+    _check_walk(series, spec, refit, window_L)
     test_start = spec.train_len + spec.val_len
     n = spec.total
     # Test values are read one at a time, each only after its prediction is
@@ -173,14 +265,10 @@ def sliding_window_evaluate(
             step_residuals.append(resid)
             actuals[j] = series.segment(t, t + 1)[0]
     elif kind == "lstm":
-        # Single-model baseline: trained on scaled raw levels with the same
-        # window and config as the residual net.
-        if len(train) <= cfg.window_m:
-            raise ConfigurationError(
-                f"{len(train)} training values cannot fill windows of length {cfg.window_m}")
-        scale = fit_scale(train.values)
-        fitted = _train_net(
-            np.concatenate((train.values, val.values)), len(train), scale, cfg).net
+        if _lstm_fit is None:
+            stream, n_train, scale = _lstm_training(series, spec, cfg)
+            _lstm_fit = scale, _train_net(stream, n_train, scale, cfg).net
+        scale, fitted = _lstm_fit
         for j, t in enumerate(range(test_start, n)):
             window = minmax_scale(series.segment(t - cfg.window_m, t), scale)
             preds[j] = minmax_unscale(lstm_mod.forward(fitted, window), scale)
@@ -197,11 +285,9 @@ def sliding_window_evaluate(
         elif arima_run.model.n_obs != spec.train_len:
             raise ConfigurationError(f"arima_run was fitted on {arima_run.model.n_obs} values, "
                                      f"not on the {spec.train_len}-value training segment")
-        fitted = fit_hybrid(train, val, arima_run.model, cfg)
+        fitted = fit_hybrid(train, val, arima_run.model, cfg,
+                            _walk_residuals=min(map(len, arima_run.step_residuals)))
         m, scale = fitted.window_m, fitted.residual_scale
-        shortest = min(map(len, arima_run.step_residuals))
-        if shortest < m:
-            raise DegenerateInputError(f"need {m} recent residuals, got {shortest}")
         # Every correction window is the arima walk's residuals before its
         # step, all known now: one batched pass of the net corrects every step.
         windows = np.stack([r[-m:] for r in arima_run.step_residuals])
@@ -254,20 +340,42 @@ def compare_models(
     training fit or a refit), hybrid fails with the same exception without
     running; lstm still runs.  When every kind fails, ComparisonError carries
     each kind's exception.
+
+    The lstm kind's training needs nothing of the others: given a spare CPU it
+    runs in one forked worker while this process evaluates arima and hybrid.
+    Its checks run here first, and every walk runs here, after the training.
     """
     runs, failures = {}, {}
-    for kind in MODEL_KINDS:
-        if kind == "hybrid" and "arima" in failures:
-            failures[kind] = failures["arima"]
-            continue
-        try:
-            runs[kind] = sliding_window_evaluate(
-                series, spec, kind, _kind_config(cfg, kind),
-                window_L=window_L, refit=refit, arima_order=arima_order,
-                arima_run=runs["arima"] if kind == "hybrid" else None,
-            )
-        except FIT_FAILURES as exc:  # one model failing must not sink the others
-            failures[kind] = exc
+    lstm_cfg = _kind_config(cfg, "lstm")
+    with contextlib.ExitStack() as stack:
+        try:  # one model failing must not sink the others
+            _check_walk(series, spec, refit, window_L)
+            stream, n_train, scale = _lstm_training(series, spec, lstm_cfg)
+        except FIT_FAILURES as exc:
+            failures["lstm"] = exc
+        else:
+            lstm_net = stack.enter_context(_training(stream, n_train, scale, lstm_cfg))
+        for kind in ("arima", "hybrid"):
+            if kind == "hybrid" and "arima" in failures:
+                failures[kind] = failures["arima"]
+                continue
+            try:
+                runs[kind] = sliding_window_evaluate(
+                    series, spec, kind, _kind_config(cfg, kind),
+                    window_L=window_L, refit=refit, arima_order=arima_order,
+                    arima_run=runs["arima"] if kind == "hybrid" else None,
+                )
+            except FIT_FAILURES as exc:
+                failures[kind] = exc
+        if "lstm" not in failures:
+            try:
+                runs["lstm"] = sliding_window_evaluate(
+                    series, spec, "lstm", lstm_cfg, window_L=window_L, refit=refit,
+                    arima_order=arima_order, _lstm_fit=(scale, lstm_net()))
+            except FIT_FAILURES as exc:
+                failures["lstm"] = exc
+    runs = {kind: runs[kind] for kind in MODEL_KINDS if kind in runs}
+    failures = {kind: failures[kind] for kind in MODEL_KINDS if kind in failures}
     if not runs:
         causes = "; ".join(f"{kind}: {failure_message(exc)}" for kind, exc in failures.items())
         raise ComparisonError(f"all three model evaluations failed ({causes})", failures)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import navcast.arima as arima_mod
+import navcast.hybrid as hybrid_mod
 from navcast.cli import EXIT_OK, generate_synthetic, main, write_series_csv
 from navcast.series import SplitSpec
 
@@ -84,7 +85,9 @@ def count(spans, name):
     return sum(1 for s in spans if s[0] == name)
 
 
-def test_fixed_order_refit_compare_fits_and_forecasts_once_per_step(traced_compare):
+def test_fixed_order_refit_compare_fits_and_forecasts_once_per_step(traced_compare, monkeypatch):
+    # Both trainings in this process, where the tracer sees them.
+    monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: False)
     run, _ = traced_compare
     spans = run("--order", "1,1,0", "--refit", "arima")
     test_len = SplitSpec.proportional(N).test_len
@@ -102,6 +105,19 @@ def test_fixed_order_refit_compare_fits_and_forecasts_once_per_step(traced_compa
     # the lstm kind runs its net once per step; the hybrid corrects every
     # step in one batched pass, which calls no public forward
     assert count(spans, "lstm.forward") == test_len
+
+
+def test_the_tracer_sees_only_the_parents_training_with_a_worker(traced_compare, monkeypatch):
+    # The lstm kind's training runs in a forked worker, whose spans stay there.
+    monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+    run, spans_mod = traced_compare
+    spans = run("--order", "1,1,0", "--refit", "arima")
+    assert count(spans, "lstm.train") == 1
+    assert count(spans, "hybrid.fit_hybrid") == 1
+    [train] = [s for s in spans if s[spans_mod.NAME] == "lstm.train"]
+    assert spans[train[spans_mod.PARENT]][spans_mod.NAME] == "hybrid.fit_hybrid"
+    # the lstm kind's walk stays in this process
+    assert count(spans, "lstm.forward") == SplitSpec.proportional(N).test_len
 
 
 @pytest.mark.parametrize("kind, d", [("ar1", 0), ("random-walk", 1)])

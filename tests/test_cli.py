@@ -30,6 +30,7 @@ from navcast.cli import (
 import navcast._blas as blas_mod
 import navcast.arima as arima_mod
 import navcast.cli as cli_mod
+import navcast.hybrid as hybrid_mod
 import navcast.lstm as lstm_mod
 from navcast.errors import (
     AnalysisError,
@@ -39,7 +40,7 @@ from navcast.errors import (
     IngestionError,
     NumericalError,
 )
-from navcast.hybrid import failure_message
+from navcast.hybrid import SEED_OFFSETS, failure_message
 from navcast.series import SplitSpec, TimeSeries, acf, fit_scale
 
 
@@ -279,13 +280,16 @@ class TestCompareCommand:
         assert (out1 / "predictions.csv").read_bytes() == (out2 / "predictions.csv").read_bytes()
 
     def test_one_order_search_and_two_trainings(self, tmp_path, monkeypatch):
-        calls = {"select_order": 0, "train": 0}
+        # Each call appends its name to a file, so that a call in the lstm
+        # kind's training worker counts too.
+        log = tmp_path / "calls.log"
 
         def counting(module, name):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(name + "\n")
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
@@ -293,7 +297,49 @@ class TestCompareCommand:
         counting(lstm_mod, "train")
         code, _ = self.run_compare(tmp_path)
         assert code == EXIT_OK
+        names = log.read_text(encoding="utf-8").split()
+        calls = {name: names.count(name) for name in ("select_order", "train")}
         assert calls == {"select_order": 1, "train": 2}
+
+    def test_the_training_worker_writes_the_bytes_of_an_in_process_compare(self, tmp_path,
+                                                                           monkeypatch):
+        original, pids = lstm_mod.train, tmp_path / "pids.log"
+
+        def recording_train(*args, **kwargs):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(lstm_mod, "train", recording_train)
+        outputs = {}
+        for spare_cpu in (False, True):
+            monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda spare=spare_cpu: spare)
+            code, out = self.run_compare(tmp_path)
+            assert code == EXIT_OK
+            trainers = set(pids.read_text(encoding="utf-8").split())
+            assert len(trainers) == (2 if spare_cpu else 1)  # the worker is another process
+            outputs[spare_cpu] = {p.relative_to(out): p.read_bytes()
+                                  for p in sorted(out.rglob("*")) if p.is_file()}
+            out.rename(tmp_path / f"spare-cpu-{spare_cpu}")
+            pids.unlink()
+        assert len(outputs[True]) == 4
+        assert outputs[True] == outputs[False]
+
+    def test_a_fit_error_in_the_training_worker_fails_the_lstm_kind(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        original, parent = lstm_mod.train, os.getpid()
+
+        def failing_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise FitError("worker training diverged")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(lstm_mod, "train", failing_in_a_worker)
+        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        code, out = self.run_compare(tmp_path, extra=["--order", "1,1,0"])
+        assert code == EXIT_TRAINING
+        payload = json.loads((out / "metrics.json").read_text())
+        assert payload["failed"] == {"lstm": "FitError: worker training diverged"}
+        assert [r["model"] for r in payload["rows"]] == ["arima", "hybrid"]
+        assert "FAILED lstm: FitError: worker training diverged\n" in capsys.readouterr().out
 
     def test_models_are_the_training_segment_hybrid_under_refit(self, tmp_path):
         from dataclasses import replace
@@ -358,9 +404,18 @@ class TestCompareCommand:
                                      "hybrid": "FitError: refit diverged"}
         assert [r["model"] for r in payload["rows"]] == ["lstm"]
 
-    def test_arima_model_is_written_when_only_the_hybrid_fails(self, tmp_path):
+    def test_arima_model_is_written_when_only_the_hybrid_fails(self, tmp_path, monkeypatch):
         # ARIMA(5,1,5) on 10-value windows leaves 4 residuals per step, fewer
         # than the net's window of 5: the hybrid fails, the arima kind does not.
+        # The hybrid refuses before it trains a net: only the lstm kind's seed
+        # trains (in a file, so that a training in a forked worker counts).
+        original, seeds = lstm_mod.train, tmp_path / "seeds.log"
+
+        def recording_train(net, data, cfg, **kwargs):
+            with open(seeds, "a", encoding="utf-8") as fh:
+                fh.write(f"{cfg.seed}\n")
+            return original(net, data, cfg, **kwargs)
+        monkeypatch.setattr(lstm_mod, "train", recording_train)
         series = generate_synthetic("linear-plus-sine", 400, {"base": 10.0}, seed=0)
         csv, out = tmp_path / "s.csv", tmp_path / "o"
         write_series_csv(csv, series)
@@ -377,6 +432,7 @@ class TestCompareCommand:
             "hybrid": "DegenerateInputError: need 5 recent residuals, got 4"}
         assert [p.name for p in (out / "models").iterdir()] == ["arima.txt"]
         assert (out / "models" / "arima.txt").read_text() == arima_mod.serialize(train_fit)
+        assert seeds.read_text(encoding="utf-8").split() == [str(SEED_OFFSETS["lstm"])]
 
     def test_model_files_deserializable(self, tmp_path):
         _, out = self.run_compare(tmp_path)
@@ -777,10 +833,15 @@ class TestExitCodes:
         (NumericalError, IngestionError, EXIT_ANALYSIS)])
     def test_compare_exits_with_the_highest_code_of_its_failed_kinds(
             self, tmp_path, monkeypatch, capsys, lstm_error, hybrid_error, code):
-        errors = iter([lstm_error("lstm kind failed"), hybrid_error("hybrid kind failed")])
+        errors = {"lstm": lstm_error("lstm kind failed"),
+                  "hybrid": hybrid_error("hybrid kind failed")}
+        seed = 0  # compare's default --seed
 
-        def failing_train(*args, **kwargs):
-            raise next(errors)
+        def failing_train(net, data, cfg, **kwargs):
+            # Each kind trains at its own seed; the lstm kind's may train in a
+            # forked worker, so no state is shared between the two calls.
+            [kind] = [k for k in errors if cfg.seed - SEED_OFFSETS[k] == seed]
+            raise errors[kind]
         monkeypatch.setattr(lstm_mod, "train", failing_train)
         csv = tmp_path / "s.csv"
         write_series_csv(csv, generate_synthetic("random-walk", 200, {"base": 10.0}, seed=0))
@@ -799,7 +860,9 @@ def test_the_cli_loads_neither_scipy_signal_nor_scipy_stats(tmp_path):
     # A fresh interpreter, so that no other test's imports count.  Nor does
     # it import scipy.linalg or scipy.optimize: navcast.arima loads the two
     # compiled routines it calls from their files, and a later import of
-    # those packages binds the same routines.
+    # those packages binds the same routines.  Only compare's training
+    # worker imports multiprocessing, so fit-arima loads no multiprocessing
+    # or concurrent module.
     csv = tmp_path / "s.csv"
     write_series_csv(csv, generate_synthetic("ar1", 60, {"base": 10.0}, seed=0))
     script = (
@@ -807,7 +870,8 @@ def test_the_cli_loads_neither_scipy_signal_nor_scipy_stats(tmp_path):
         f"assert navcast.cli.main(['fit-arima', '--input', {str(csv)!r}, "
         f"'--out', {str(tmp_path / 'o')!r}]) == 0\n"
         "loaded = sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.optimize')))\n"
-        "unused = sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats')))\n"
+        "unused = sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats',\n"
+        "                                                        'multiprocessing', 'concurrent')))\n"
         "import scipy.linalg.lapack, scipy.optimize\n"
         "print(loaded, navcast.arima.dtbtrs is scipy.linalg.lapack.dtbtrs,\n"
         "      navcast.arima.setulb is scipy.optimize._lbfgsb.setulb)\n"

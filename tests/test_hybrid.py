@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -364,6 +367,57 @@ class TestCompareModels:
         with pytest.raises(TypeError, match="broken training code"):
             compare_models(s, SplitSpec(200, 40, 60), FAST,
                            arima_order=arima.ArimaOrder(0, 1, 0))
+
+    def test_a_programming_error_in_the_training_worker_propagates(self, monkeypatch):
+        original, parent = lstm_mod.train, os.getpid()
+
+        def broken_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise TypeError("broken training code")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(lstm_mod, "train", broken_in_a_worker)
+        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        with pytest.raises(TypeError, match="^broken training code$") as raised:
+            compare_models(sine_walk(300, seed=19), SplitSpec(200, 40, 60), FAST,
+                           arima_order=arima.ArimaOrder(0, 1, 0))
+        assert "in broken_in_a_worker" in str(raised.value.__cause__)  # the worker's traceback
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_exits_without_a_net_raises(self, monkeypatch):
+        original, parent = lstm_mod.train, os.getpid()
+
+        def dying_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(lstm_mod, "train", dying_in_a_worker)
+        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        with pytest.raises(RuntimeError, match="worker exited with code 1 before it sent a net"):
+            compare_models(sine_walk(300, seed=19), SplitSpec(200, 40, 60), FAST,
+                           arima_order=arima.ArimaOrder(0, 1, 0))
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_compare(self, monkeypatch):
+        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        s, spec = sine_walk(300, seed=19), SplitSpec(200, 40, 60)
+        res = compare_models(s, spec, FAST, arima_order=arima.ArimaOrder(0, 1, 0))
+        assert list(res.runs) == list(MODEL_KINDS)
+        assert multiprocessing.active_children() == []
+        # The parent fails while the worker still trains: the worker is ended.
+        original, parent = lstm_mod.train, os.getpid()
+
+        def stalling_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return original(*args, **kwargs)
+
+        def broken_search(*args, **kwargs):
+            raise TypeError("broken search code")
+        monkeypatch.setattr(lstm_mod, "train", stalling_in_a_worker)
+        monkeypatch.setattr(arima, "select_order", broken_search)
+        with pytest.raises(TypeError, match="broken search code"):
+            compare_models(s, spec, FAST)
+        assert multiprocessing.active_children() == []
 
     def test_one_failure_does_not_sink_the_rest(self):
         # Constant-ish series: LSTM scaling of a constant train segment fails,
