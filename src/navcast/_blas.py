@@ -46,9 +46,12 @@ def single_threaded():
     """Run the body with every OpenBLAS pool at one thread, then restore each count.
 
     The counts are process-wide: BLAS calls made by other threads meanwhile
-    also run on one thread.
+    also run on one thread.  A pool already at one thread is left alone:
+    OpenBLAS stops its threads before a fork and setting a count starts them
+    again, each spinning for a while before it sleeps, so a forked worker
+    would restart a pool that it never uses.
     """
-    pools = openblas_pools()
+    pools = [(get, set_) for get, set_ in openblas_pools() if get() != 1]
     saved = [get() for get, _ in pools]
     for _, set_threads in pools:
         set_threads(1)

@@ -102,60 +102,71 @@ def _spare_cpu() -> bool:
 
 
 class _WorkerTraceback(Exception):
-    """The cause given to an exception raised again from the training worker: its traceback."""
+    """The cause given to an exception raised again from a training worker: its traceback."""
 
 
-def _train_in_worker(sender, args) -> None:
-    """A training worker's body: send ("net", the net _train_net(*args) trains, None)
-    or ("raised", the exception the training raised, its traceback)."""
+def _train_in_worker(sender, func, args, kwargs) -> None:
+    """A training worker's body: send ("result", what func(*args, **kwargs) returns, None)
+    or ("raised", the exception it raised, its traceback)."""
     import signal
     import traceback
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's; it ends the worker
     try:
-        message = "net", _train_net(*args).net, None
+        message = "result", func(*args, **kwargs), None
     except Exception as exc:  # the parent raises it, or records it as the kind's failure
         message = "raised", exc, traceback.format_exc()
     sender.send(message)
 
 
 @contextlib.contextmanager
-def _training(*args):
-    """Yield a function that returns the net _train_net(*args) trains.
+def _training(kind: str, func, *args, **kwargs):
+    """Yield a function that returns func(*args, **kwargs): model kind `kind`'s training.
 
-    With a spare CPU the net trains in one forked worker from entry on, and
-    the function waits for it and raises what the training raised; otherwise
-    the function trains the net in process.  No worker outlives the block.
+    With a spare CPU the training runs in one forked worker from entry on,
+    and the function waits for it and raises what the training raised;
+    otherwise the function trains in process.  No worker outlives the block.
     """
     if not _spare_cpu():
-        yield lambda: _train_net(*args).net
+        yield lambda: func(*args, **kwargs)
         return
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_train_in_worker, args=(sender, args), daemon=True)
+    worker = context.Process(target=_train_in_worker, args=(sender, func, args, kwargs),
+                             daemon=True)
     worker.start()
     sender.close()
 
-    def net():
+    def result():
         try:
             outcome, value, trace = receiver.recv()
         except EOFError:
             worker.join()
-            raise RuntimeError(f"the lstm kind's training worker exited with code "
+            raise RuntimeError(f"the {kind} kind's training worker exited with code "
                                f"{worker.exitcode} before it sent a net") from None
         if outcome == "raised":
             raise value from _WorkerTraceback(trace)
         return value
 
     try:
-        yield net
+        yield result
     finally:
         receiver.close()
         worker.terminate()  # a worker still training trains a net no longer wanted
         worker.join()
         worker.close()
+
+
+def _fewest_walk_residuals(spec: SplitSpec, window_L: int, order: arima_mod.ArimaOrder) -> int:
+    """The fewest residuals a step of the arima walk holds, known before the walk.
+
+    A step's history is its trailing window_L values, fewer only while the
+    window reaches back past the series start, so the first test step's is
+    the shortest; residuals(model, history) has d + p fewer entries.
+    """
+    return min(window_L, spec.train_len + spec.val_len) - order.d - order.p
 
 
 def fit_hybrid(
@@ -223,7 +234,7 @@ def sliding_window_evaluate(
     arima_order="auto",
     *,
     arima_run: EvalRun | None = None,
-    _lstm_fit: tuple | None = None,
+    _fit=None,
 ) -> EvalRun:
     """Walk the test segment one step at a time with a trailing history window.
 
@@ -237,8 +248,9 @@ def sliding_window_evaluate(
     and adds only its residual correction, read off that run's per-step
     residuals.  So it takes its ARIMA order and refit policy from that run;
     `arima_order` and `refit` apply only when no run is given and it
-    evaluates one itself.  `_lstm_fit` is the (scale, net) of an lstm kind
-    that compare_models checked and trained: with it the lstm kind only walks.
+    evaluates one itself.  `_fit` is the kind's training fit as compare_models
+    made it (the arima kind's ArimaModel, the lstm kind's (scale, net), the
+    hybrid's HybridModel): with it the kind only walks.
     """
     if kind not in MODEL_KINDS:
         raise ConfigurationError(f"unknown model kind {kind!r}")
@@ -256,7 +268,7 @@ def sliding_window_evaluate(
     step_residuals = []
 
     if kind == "arima":
-        fitted = model = arima_mod._fit_or_search(train, arima_order)
+        fitted = model = _fit if _fit is not None else arima_mod._fit_or_search(train, arima_order)
         for j, t in enumerate(range(test_start, n)):
             hist = series.slice(max(0, t - window_L), t)
             if refit == "arima":
@@ -265,10 +277,10 @@ def sliding_window_evaluate(
             step_residuals.append(resid)
             actuals[j] = series.segment(t, t + 1)[0]
     elif kind == "lstm":
-        if _lstm_fit is None:
+        if _fit is None:
             stream, n_train, scale = _lstm_training(series, spec, cfg)
-            _lstm_fit = scale, _train_net(stream, n_train, scale, cfg).net
-        scale, fitted = _lstm_fit
+            _fit = scale, _train_net(stream, n_train, scale, cfg).net
+        scale, fitted = _fit
         for j, t in enumerate(range(test_start, n)):
             window = minmax_scale(series.segment(t - cfg.window_m, t), scale)
             preds[j] = minmax_unscale(lstm_mod.forward(fitted, window), scale)
@@ -285,8 +297,9 @@ def sliding_window_evaluate(
         elif arima_run.model.n_obs != spec.train_len:
             raise ConfigurationError(f"arima_run was fitted on {arima_run.model.n_obs} values, "
                                      f"not on the {spec.train_len}-value training segment")
-        fitted = fit_hybrid(train, val, arima_run.model, cfg,
-                            _walk_residuals=min(map(len, arima_run.step_residuals)))
+        fitted = _fit if _fit is not None else fit_hybrid(
+            train, val, arima_run.model, cfg,
+            _walk_residuals=_fewest_walk_residuals(spec, window_L, arima_run.model.order))
         m, scale = fitted.window_m, fitted.residual_scale
         # Every correction window is the arima walk's residuals before its
         # step, all known now: one batched pass of the net corrects every step.
@@ -337,41 +350,52 @@ def compare_models(
     The test segment is walked with ARIMA once: the arima kind runs the one
     order search and every trailing-window refit, and the hybrid kind adds its
     residual correction to that run's forecasts.  If the arima kind fails (search,
-    training fit or a refit), hybrid fails with the same exception without
-    running; lstm still runs.  When every kind fails, ComparisonError carries
-    each kind's exception.
+    training fit or a refit), hybrid fails with the same exception; lstm still
+    runs.  When every kind fails, ComparisonError carries each kind's exception.
 
-    The lstm kind's training needs nothing of the others: given a spare CPU it
-    runs in one forked worker while this process evaluates arima and hybrid.
-    Its checks run here first, and every walk runs here, after the training.
+    Neither net's training needs a walk: the lstm kind's needs nothing of the
+    others, the hybrid's only the arima kind's training fit.  Given a spare
+    CPU, each trains in its own forked worker, the lstm kind's from the start
+    and the hybrid's from that fit on, while this process walks ARIMA over
+    the test segment.  The order search, every ARIMA fit and every walk run
+    here.
     """
     runs, failures = {}, {}
-    lstm_cfg = _kind_config(cfg, "lstm")
+    cfgs = {kind: _kind_config(cfg, kind) for kind in MODEL_KINDS}
+    walk = {"window_L": window_L, "refit": refit}  # every kind here walks a fit made already
     with contextlib.ExitStack() as stack:
         try:  # one model failing must not sink the others
             _check_walk(series, spec, refit, window_L)
-            stream, n_train, scale = _lstm_training(series, spec, lstm_cfg)
+            stream, n_train, scale = _lstm_training(series, spec, cfgs["lstm"])
         except FIT_FAILURES as exc:
             failures["lstm"] = exc
         else:
-            lstm_net = stack.enter_context(_training(stream, n_train, scale, lstm_cfg))
-        for kind in ("arima", "hybrid"):
-            if kind == "hybrid" and "arima" in failures:
-                failures[kind] = failures["arima"]
-                continue
-            try:
-                runs[kind] = sliding_window_evaluate(
-                    series, spec, kind, _kind_config(cfg, kind),
-                    window_L=window_L, refit=refit, arima_order=arima_order,
-                    arima_run=runs["arima"] if kind == "hybrid" else None,
-                )
-            except FIT_FAILURES as exc:
-                failures[kind] = exc
+            lstm_fit = stack.enter_context(
+                _training("lstm", _train_net, stream, n_train, scale, cfgs["lstm"]))
+        try:
+            _check_walk(series, spec, refit, window_L)  # the arima walk's check, before its search
+            train = series.slice(0, spec.train_len)
+            val = series.slice(spec.train_len, spec.train_len + spec.val_len)
+            arima_fit = arima_mod._fit_or_search(train, arima_order)
+            with _training("hybrid", fit_hybrid, train, val, arima_fit, cfgs["hybrid"],
+                           _walk_residuals=_fewest_walk_residuals(spec, window_L, arima_fit.order),
+                           ) as hybrid_fit:
+                runs["arima"] = sliding_window_evaluate(
+                    series, spec, "arima", cfgs["arima"], **walk, _fit=arima_fit)
+                try:
+                    # A worker sends back a copy of arima_fit: the run keeps the original.
+                    hybrid = replace(hybrid_fit(), arima=arima_fit)
+                    runs["hybrid"] = sliding_window_evaluate(
+                        series, spec, "hybrid", cfgs["hybrid"], **walk,
+                        arima_run=runs["arima"], _fit=hybrid)
+                except FIT_FAILURES as exc:
+                    failures["hybrid"] = exc
+        except FIT_FAILURES as exc:  # the arima kind's, so the hybrid's too
+            failures["arima"] = failures["hybrid"] = exc
         if "lstm" not in failures:
             try:
                 runs["lstm"] = sliding_window_evaluate(
-                    series, spec, "lstm", lstm_cfg, window_L=window_L, refit=refit,
-                    arima_order=arima_order, _lstm_fit=(scale, lstm_net()))
+                    series, spec, "lstm", cfgs["lstm"], **walk, _fit=(scale, lstm_fit().net))
             except FIT_FAILURES as exc:
                 failures["lstm"] = exc
     runs = {kind: runs[kind] for kind in MODEL_KINDS if kind in runs}

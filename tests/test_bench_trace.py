@@ -107,17 +107,17 @@ def test_fixed_order_refit_compare_fits_and_forecasts_once_per_step(traced_compa
     assert count(spans, "lstm.forward") == test_len
 
 
-def test_the_tracer_sees_only_the_parents_training_with_a_worker(traced_compare, monkeypatch):
-    # The lstm kind's training runs in a forked worker, whose spans stay there.
+def test_the_tracer_sees_no_training_with_workers(traced_compare, monkeypatch):
+    # Each net trains in a forked worker, whose spans stay there.
     monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
-    run, spans_mod = traced_compare
+    run, _ = traced_compare
     spans = run("--order", "1,1,0", "--refit", "arima")
-    assert count(spans, "lstm.train") == 1
-    assert count(spans, "hybrid.fit_hybrid") == 1
-    [train] = [s for s in spans if s[spans_mod.NAME] == "lstm.train"]
-    assert spans[train[spans_mod.PARENT]][spans_mod.NAME] == "hybrid.fit_hybrid"
-    # the lstm kind's walk stays in this process
-    assert count(spans, "lstm.forward") == SplitSpec.proportional(N).test_len
+    test_len = SplitSpec.proportional(N).test_len
+    assert count(spans, "lstm.train") == 0
+    assert count(spans, "hybrid.fit_hybrid") == 0
+    # the ARIMA fits and every walk stay in this process
+    assert count(spans, "arima.fit") == 1 + test_len
+    assert count(spans, "lstm.forward") == test_len
 
 
 @pytest.mark.parametrize("kind, d", [("ar1", 0), ("random-walk", 1)])
@@ -132,22 +132,27 @@ def test_the_order_search_tests_no_d_past_the_first_stationary_one(traced_main, 
     assert count(spans, "series.adf_test") == d + 1
 
 
-def test_auto_order_search_runs_inside_the_arima_evaluation(traced_compare):
+def test_auto_order_search_runs_once_in_compare_before_the_walks(traced_compare):
+    # compare_models fits the arima kind on the training segment itself, so
+    # that the hybrid's net can train from that fit on while ARIMA walks.
     run, spans_mod = traced_compare
     spans = run()
     searches = [s for s in spans if s[spans_mod.NAME] == "arima.select_order"]
     assert len(searches) == 1
     parent = spans[searches[0][spans_mod.PARENT]]
-    assert parent[spans_mod.NAME] == "hybrid.sliding_window_evaluate"
-    assert parent[spans_mod.INFO]["kind"] == "arima"
+    assert parent[spans_mod.NAME] == "hybrid.compare_models"
+    walks = [s for s in spans if s[spans_mod.NAME] == "hybrid.sliding_window_evaluate"]
+    assert all(walk[spans_mod.START] > searches[0][spans_mod.END] for walk in walks)
     metrics = spans_mod.layer_metrics(spans)
     assert metrics["arima.fit.rolling.calls"] == 0  # the search's fit is reused
     assert metrics["arima.fit.search.calls"] == 36
 
 
-def test_the_lstm_layer_metrics_read_the_network(traced_compare):
+def test_the_lstm_layer_metrics_read_the_network(traced_compare, monkeypatch):
     # spans.py reads each layer's weights (vars(layer)) for the training
-    # input digest, and hidden_dim and W_f's shape for the BPTT FLOP count.
+    # input digest, and hidden_dim and W_f's shape for the BPTT FLOP count;
+    # both trainings run in this process, where the tracer sees them.
+    monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: False)
     run, spans_mod = traced_compare
     metrics = spans_mod.layer_metrics(run("--order", "1,1,0"))
     gflop_s = metrics["lstm.bptt_gradients.gflop_s_computed"]

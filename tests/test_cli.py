@@ -2,10 +2,12 @@ import ctypes
 import functools
 import importlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -280,8 +282,8 @@ class TestCompareCommand:
         assert (out1 / "predictions.csv").read_bytes() == (out2 / "predictions.csv").read_bytes()
 
     def test_one_order_search_and_two_trainings(self, tmp_path, monkeypatch):
-        # Each call appends its name to a file, so that a call in the lstm
-        # kind's training worker counts too.
+        # Each call appends its name to a file, so that a call in a training
+        # worker counts too.
         log = tmp_path / "calls.log"
 
         def counting(module, name):
@@ -324,22 +326,67 @@ class TestCompareCommand:
         assert len(outputs[True]) == 4
         assert outputs[True] == outputs[False]
 
+    def failing_training_of(self, monkeypatch, kind, seed=7):
+        """Make the training of model kind `kind` raise FitError; each kind
+        trains in its own worker, picked out by the kind's seed."""
+        original = lstm_mod.train
+
+        def failing_train(net, data, cfg, **kwargs):
+            if cfg.seed - SEED_OFFSETS[kind] == seed:
+                raise FitError("worker training diverged")
+            return original(net, data, cfg, **kwargs)
+        monkeypatch.setattr(lstm_mod, "train", failing_train)
+        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+
     def test_a_fit_error_in_the_training_worker_fails_the_lstm_kind(self, tmp_path, monkeypatch,
                                                                     capsys):
-        original, parent = lstm_mod.train, os.getpid()
-
-        def failing_in_a_worker(*args, **kwargs):
-            if os.getpid() != parent:
-                raise FitError("worker training diverged")
-            return original(*args, **kwargs)
-        monkeypatch.setattr(lstm_mod, "train", failing_in_a_worker)
-        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        self.failing_training_of(monkeypatch, "lstm")
         code, out = self.run_compare(tmp_path, extra=["--order", "1,1,0"])
         assert code == EXIT_TRAINING
         payload = json.loads((out / "metrics.json").read_text())
         assert payload["failed"] == {"lstm": "FitError: worker training diverged"}
         assert [r["model"] for r in payload["rows"]] == ["arima", "hybrid"]
         assert "FAILED lstm: FitError: worker training diverged\n" in capsys.readouterr().out
+
+    def test_a_fit_error_in_the_hybrids_worker_fails_only_the_hybrid(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        self.failing_training_of(monkeypatch, "hybrid")
+        code, out = self.run_compare(tmp_path, extra=["--order", "1,1,0"])
+        assert code == EXIT_TRAINING
+        payload = json.loads((out / "metrics.json").read_text())
+        assert payload["failed"] == {"hybrid": "FitError: worker training diverged"}
+        assert [r["model"] for r in payload["rows"]] == ["arima", "lstm"]
+        assert "FAILED hybrid: FitError: worker training diverged\n" in capsys.readouterr().out
+        assert [p.name for p in (out / "models").iterdir()] == ["arima.txt"]
+
+    def test_a_refit_error_while_the_hybrid_trains_fails_arima_and_hybrid(self, tmp_path,
+                                                                         monkeypatch):
+        # The hybrid's net would train for a minute in its worker: the refit
+        # failure must end that worker, not wait for it.
+        original_train, original_fit, parent = lstm_mod.train, arima_mod.fit, os.getpid()
+
+        def stalling_train(net, data, cfg, **kwargs):
+            if os.getpid() != parent and cfg.seed - SEED_OFFSETS["hybrid"] == 7:
+                time.sleep(60)
+            return original_train(net, data, cfg, **kwargs)
+
+        def failing_refit(series, order):
+            if len(series) == 60:  # a trailing window of --window-L 60
+                raise FitError("refit diverged")
+            return original_fit(series, order)
+        monkeypatch.setattr(lstm_mod, "train", stalling_train)
+        monkeypatch.setattr(arima_mod, "fit", failing_refit)
+        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        started = time.monotonic()
+        code, out = self.run_compare(
+            tmp_path, extra=["--order", "1,1,0", "--refit", "arima", "--window-L", "60"])
+        assert time.monotonic() - started < 30
+        assert multiprocessing.active_children() == []
+        assert code == EXIT_TRAINING
+        payload = json.loads((out / "metrics.json").read_text())
+        assert payload["failed"] == {"arima": "FitError: refit diverged",
+                                     "hybrid": "FitError: refit diverged"}
+        assert [r["model"] for r in payload["rows"]] == ["lstm"]
 
     def test_models_are_the_training_segment_hybrid_under_refit(self, tmp_path):
         from dataclasses import replace
@@ -838,7 +885,7 @@ class TestExitCodes:
         seed = 0  # compare's default --seed
 
         def failing_train(net, data, cfg, **kwargs):
-            # Each kind trains at its own seed; the lstm kind's may train in a
+            # Each kind trains at its own seed, and each may train in its own
             # forked worker, so no state is shared between the two calls.
             [kind] = [k for k in errors if cfg.seed - SEED_OFFSETS[k] == seed]
             raise errors[kind]
@@ -861,14 +908,17 @@ def test_the_cli_loads_neither_scipy_signal_nor_scipy_stats(tmp_path):
     # it import scipy.linalg or scipy.optimize: navcast.arima loads the two
     # compiled routines it calls from their files, and a later import of
     # those packages binds the same routines.  Only compare's training
-    # worker imports multiprocessing, so fit-arima loads no multiprocessing
-    # or concurrent module.
+    # workers import multiprocessing: fit-arima and fit-hybrid, which trains
+    # its one net in process, load no multiprocessing or concurrent module.
     csv = tmp_path / "s.csv"
     write_series_csv(csv, generate_synthetic("ar1", 60, {"base": 10.0}, seed=0))
     script = (
         "import sys, navcast, navcast.cli\n"
         f"assert navcast.cli.main(['fit-arima', '--input', {str(csv)!r}, "
         f"'--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        f"assert navcast.cli.main(['fit-hybrid', '--input', {str(csv)!r}, "
+        f"'--out', {str(tmp_path / 'h')!r}, '--epochs', '1', '--layers', '1', "
+        "'--hidden', '4', '--window-m', '5']) == 0\n"
         "loaded = sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.optimize')))\n"
         "unused = sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats',\n"
         "                                                        'multiprocessing', 'concurrent')))\n"
@@ -1003,6 +1053,22 @@ class TestBlasThreads:
         before = counts()
         importlib.reload(cli_mod)
         assert counts() == before
+
+    def test_a_pool_already_at_one_thread_is_left_alone(self, monkeypatch):
+        # Setting a count restarts a pool that a fork stopped: a forked
+        # worker that inherits one thread must not set it again.
+        counts, sets = [1, 2], []
+
+        def pool(i):
+            def set_threads(n):
+                sets.append((i, n))
+                counts[i] = n
+            return (lambda: counts[i]), set_threads
+        monkeypatch.setattr(blas_mod, "openblas_pools", lambda: (pool(0), pool(1)))
+        with blas_mod.single_threaded():
+            assert counts == [1, 1]
+        assert counts == [1, 2]
+        assert sets == [(1, 1), (1, 2)]
 
     @pytest.mark.parametrize("cdll", [missing_library, library_without_symbols])
     def test_without_openblas_fit_arima_writes_the_same_bytes(self, csv, tmp_path,

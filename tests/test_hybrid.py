@@ -1,10 +1,13 @@
 import multiprocessing
 import os
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import navcast.arima as arima
 import navcast.hybrid as hybrid_mod
@@ -164,6 +167,22 @@ class TestSlidingWindowEvaluate:
             with single_threaded():
                 raw = _forward_batch(hybrid.model.residual_net, minmax_scale(windows, scale))
             assert np.array_equal(hybrid.nonlinear, minmax_unscale(raw, scale)), refit
+
+    @settings(max_examples=40, deadline=None)
+    @given(train_len=st.integers(20, 60), val_len=st.integers(1, 20),
+           test_len=st.integers(1, 6), window_L=st.integers(12, 100),
+           p=st.integers(0, 2), d=st.integers(0, 1), q=st.integers(0, 2),
+           refit=st.sampled_from(["none", "arima"]))
+    def test_the_fewest_residuals_of_a_walk_step_are_known_before_the_walk(
+            self, train_len, val_len, test_len, window_L, p, d, q, refit):
+        spec, order = SplitSpec(train_len, val_len, test_len), arima.ArimaOrder(p, d, q)
+        s = sine_walk(100, seed=23).slice(0, spec.total)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # some small fits are non-stationary
+            run = sliding_window_evaluate(s, spec, "arima", FAST, window_L=window_L,
+                                          refit=refit, arima_order=order)
+        assert (hybrid_mod._fewest_walk_residuals(spec, window_L, order)
+                == min(map(len, run.step_residuals)))
 
     def test_zero_output_head_reduces_to_arima(self, monkeypatch):
         def zero_head_fit(*args, **kwargs):
@@ -393,6 +412,22 @@ class TestCompareModels:
         monkeypatch.setattr(lstm_mod, "train", dying_in_a_worker)
         monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
         with pytest.raises(RuntimeError, match="worker exited with code 1 before it sent a net"):
+            compare_models(sine_walk(300, seed=19), SplitSpec(200, 40, 60), FAST,
+                           arima_order=arima.ArimaOrder(0, 1, 0))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind", ["lstm", "hybrid"])
+    def test_a_dying_worker_names_its_kind(self, monkeypatch, kind):
+        original, parent = lstm_mod.train, os.getpid()
+
+        def dying_in_one_worker(net, data, cfg, **kwargs):
+            if os.getpid() != parent and cfg.seed - SEED_OFFSETS[kind] == FAST.seed:
+                os._exit(3)
+            return original(net, data, cfg, **kwargs)
+        monkeypatch.setattr(lstm_mod, "train", dying_in_one_worker)
+        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        with pytest.raises(RuntimeError, match=f"^the {kind} kind's training worker exited "
+                                               "with code 3 before it sent"):
             compare_models(sine_walk(300, seed=19), SplitSpec(200, 40, 60), FAST,
                            arima_order=arima.ArimaOrder(0, 1, 0))
         assert multiprocessing.active_children() == []
