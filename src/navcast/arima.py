@@ -429,14 +429,21 @@ def serialize(model: ArimaModel) -> str:
 
 def deserialize(text: str) -> ArimaModel:
     row = dict(_doc.load("arima-model", text))
+
+    def floats(key: str) -> list:
+        values = [float(v) for v in row[key]]
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"arima-model document holds a non-finite {key}")
+        return values
+
     try:
         return ArimaModel(
             order=ArimaOrder(*(int(row[key][0]) for key in "pdq")),
-            ar_coeffs=[float(v) for v in row["ar"]],
-            ma_coeffs=[float(v) for v in row["ma"]],
-            intercept=float(row["intercept"][0]),
-            sigma2=float(row["sigma2"][0]),
-            in_sample_residuals=[float(v) for v in row["residuals"]],
+            ar_coeffs=floats("ar"),
+            ma_coeffs=floats("ma"),
+            intercept=floats("intercept")[0],
+            sigma2=floats("sigma2")[0],
+            in_sample_residuals=floats("residuals"),
             n_obs=int(row["n_obs"][0]),
         )
     except (KeyError, IndexError) as exc:

@@ -81,18 +81,18 @@ def _train_net(stream, n_train: int, scale: ScaleParams, cfg: TrainConfig):
     return lstm_mod.train(net, data, cfg, val_data=val_windows)
 
 
-def _lstm_training(series: TimeSeries, spec: SplitSpec, cfg: TrainConfig) -> tuple:
-    """The lstm kind's checks; returns the (stream, n_train, scale) its _train_net call takes.
+def _fit_lstm(train: TimeSeries, val: TimeSeries, cfg: TrainConfig) -> tuple:
+    """The lstm kind's training fit: the scale fitted on train and the net.
 
     The single-model baseline trains on scaled raw levels of train + val,
     with the same window and config as the residual net.
     """
-    train = series.slice(0, spec.train_len)
     if len(train) <= cfg.window_m:
         raise ConfigurationError(
             f"{len(train)} training values cannot fill windows of length {cfg.window_m}")
-    val = series.slice(spec.train_len, spec.train_len + spec.val_len)
-    return np.concatenate((train.values, val.values)), len(train), fit_scale(train.values)
+    scale = fit_scale(train.values)
+    stream = np.concatenate((train.values, val.values))
+    return scale, _train_net(stream, len(train), scale, cfg).net
 
 
 def _spare_cpu() -> bool:
@@ -103,20 +103,6 @@ def _spare_cpu() -> bool:
 
 class _WorkerTraceback(Exception):
     """The cause given to an exception raised again from a training worker: its traceback."""
-
-
-def _train_in_worker(sender, func, args, kwargs) -> None:
-    """A training worker's body: send ("result", what func(*args, **kwargs) returns, None)
-    or ("raised", the exception it raised, its traceback)."""
-    import signal
-    import traceback
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's; it ends the worker
-    try:
-        message = "result", func(*args, **kwargs), None
-    except Exception as exc:  # the parent raises it, or records it as the kind's failure
-        message = "raised", exc, traceback.format_exc()
-    sender.send(message)
 
 
 @contextlib.contextmanager
@@ -131,11 +117,21 @@ def _training(kind: str, func, *args, **kwargs):
         yield lambda: func(*args, **kwargs)
         return
     import multiprocessing
+    import signal
+    import traceback
 
     context = multiprocessing.get_context("fork")
     receiver, sender = context.Pipe(duplex=False)
-    worker = context.Process(target=_train_in_worker, args=(sender, func, args, kwargs),
-                             daemon=True)
+
+    def train() -> None:  # the worker's body; a fork-context target is not pickled
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's; it ends the worker
+        try:
+            message = "result", func(*args, **kwargs), None
+        except Exception as exc:  # the parent raises it, or records it as the kind's failure
+            message = "raised", exc, traceback.format_exc()
+        sender.send(message)
+
+    worker = context.Process(target=train, daemon=True)
     worker.start()
     sender.close()
 
@@ -277,10 +273,7 @@ def sliding_window_evaluate(
             step_residuals.append(resid)
             actuals[j] = series.segment(t, t + 1)[0]
     elif kind == "lstm":
-        if _fit is None:
-            stream, n_train, scale = _lstm_training(series, spec, cfg)
-            _fit = scale, _train_net(stream, n_train, scale, cfg).net
-        scale, fitted = _fit
+        scale, fitted = _fit if _fit is not None else _fit_lstm(train, val, cfg)
         for j, t in enumerate(range(test_start, n)):
             window = minmax_scale(series.segment(t - cfg.window_m, t), scale)
             preds[j] = minmax_unscale(lstm_mod.forward(fitted, window), scale)
@@ -352,50 +345,48 @@ def compare_models(
     residual correction to that run's forecasts.  If the arima kind fails (search,
     training fit or a refit), hybrid fails with the same exception; lstm still
     runs.  When every kind fails, ComparisonError carries each kind's exception.
+    A refit policy, window_L or split that no kind can walk is refused once,
+    before any search or training, and fails all three kinds with that one
+    exception.
 
     Neither net's training needs a walk: the lstm kind's needs nothing of the
     others, the hybrid's only the arima kind's training fit.  Given a spare
-    CPU, each trains in its own forked worker, the lstm kind's from the start
-    and the hybrid's from that fit on, while this process walks ARIMA over
-    the test segment.  The order search, every ARIMA fit and every walk run
-    here.
+    CPU, each kind's whole training fit, its refusals included, runs in its
+    own forked worker, the lstm kind's from the start and the hybrid's from
+    the arima fit on, while this process walks ARIMA over the test segment.
+    The order search, every ARIMA fit and every walk run here.
     """
     runs, failures = {}, {}
     cfgs = {kind: _kind_config(cfg, kind) for kind in MODEL_KINDS}
     walk = {"window_L": window_L, "refit": refit}  # every kind here walks a fit made already
-    with contextlib.ExitStack() as stack:
-        try:  # one model failing must not sink the others
-            _check_walk(series, spec, refit, window_L)
-            stream, n_train, scale = _lstm_training(series, spec, cfgs["lstm"])
-        except FIT_FAILURES as exc:
-            failures["lstm"] = exc
-        else:
-            lstm_fit = stack.enter_context(
-                _training("lstm", _train_net, stream, n_train, scale, cfgs["lstm"]))
-        try:
-            _check_walk(series, spec, refit, window_L)  # the arima walk's check, before its search
-            train = series.slice(0, spec.train_len)
-            val = series.slice(spec.train_len, spec.train_len + spec.val_len)
-            arima_fit = arima_mod._fit_or_search(train, arima_order)
-            with _training("hybrid", fit_hybrid, train, val, arima_fit, cfgs["hybrid"],
-                           _walk_residuals=_fewest_walk_residuals(spec, window_L, arima_fit.order),
-                           ) as hybrid_fit:
-                runs["arima"] = sliding_window_evaluate(
-                    series, spec, "arima", cfgs["arima"], **walk, _fit=arima_fit)
-                try:
-                    # A worker sends back a copy of arima_fit: the run keeps the original.
-                    hybrid = replace(hybrid_fit(), arima=arima_fit)
-                    runs["hybrid"] = sliding_window_evaluate(
-                        series, spec, "hybrid", cfgs["hybrid"], **walk,
-                        arima_run=runs["arima"], _fit=hybrid)
-                except FIT_FAILURES as exc:
-                    failures["hybrid"] = exc
-        except FIT_FAILURES as exc:  # the arima kind's, so the hybrid's too
-            failures["arima"] = failures["hybrid"] = exc
-        if "lstm" not in failures:
+    try:
+        _check_walk(series, spec, refit, window_L)
+    except FIT_FAILURES as exc:  # no kind can walk: each fails with this one refusal
+        failures = dict.fromkeys(MODEL_KINDS, exc)
+    else:
+        train = series.slice(0, spec.train_len)
+        val = series.slice(spec.train_len, spec.train_len + spec.val_len)
+        with _training("lstm", _fit_lstm, train, val, cfgs["lstm"]) as lstm_fit:
+            try:  # one model failing must not sink the others
+                arima_fit = arima_mod._fit_or_search(train, arima_order)
+                with _training("hybrid", fit_hybrid, train, val, arima_fit, cfgs["hybrid"],
+                               _walk_residuals=_fewest_walk_residuals(
+                                   spec, window_L, arima_fit.order)) as hybrid_fit:
+                    runs["arima"] = sliding_window_evaluate(
+                        series, spec, "arima", cfgs["arima"], **walk, _fit=arima_fit)
+                    try:
+                        # A worker sends back a copy of arima_fit: the run keeps the original.
+                        hybrid = replace(hybrid_fit(), arima=arima_fit)
+                        runs["hybrid"] = sliding_window_evaluate(
+                            series, spec, "hybrid", cfgs["hybrid"], **walk,
+                            arima_run=runs["arima"], _fit=hybrid)
+                    except FIT_FAILURES as exc:
+                        failures["hybrid"] = exc
+            except FIT_FAILURES as exc:  # the arima kind's, so the hybrid's too
+                failures["arima"] = failures["hybrid"] = exc
             try:
                 runs["lstm"] = sliding_window_evaluate(
-                    series, spec, "lstm", cfgs["lstm"], **walk, _fit=(scale, lstm_fit().net))
+                    series, spec, "lstm", cfgs["lstm"], **walk, _fit=lstm_fit())
             except FIT_FAILURES as exc:
                 failures["lstm"] = exc
     runs = {kind: runs[kind] for kind in MODEL_KINDS if kind in runs}

@@ -43,3 +43,33 @@ def as_series(values):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+class CallLog:
+    """Records calls of wrapped functions as lines of a file, so that a call
+    made in a forked worker shows up in the test's process too."""
+
+    def __init__(self, path, monkeypatch):
+        self.path, self.monkeypatch = path, monkeypatch
+
+    def record(self, module, name, line=None):
+        """Wrap module.name: each call first appends line(*args, **kwargs), by default name."""
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write((name if line is None else line(*args, **kwargs)) + "\n")
+            return original(*args, **kwargs)
+        self.monkeypatch.setattr(module, name, wrapper)
+
+    def lines(self) -> list:
+        """The lines recorded so far, in the order they were written."""
+        return self.path.read_text(encoding="utf-8").splitlines() if self.path.exists() else []
+
+    def clear(self) -> None:
+        self.path.unlink(missing_ok=True)
+
+
+@pytest.fixture
+def call_log(tmp_path, monkeypatch):
+    return CallLog(tmp_path / "calls.log", monkeypatch)

@@ -649,8 +649,10 @@ class TestSerialization:
         lambda t: t.replace("sigma2 0.0097384786127945218", "sigma2"),
         lambda t: t.replace(" -0.14049826926392806\n", "\n", 1),
         lambda t: t.replace("ma \n", "ma 0.5\n"),
+        lambda t: t.replace(" -0.14049826926392806\n", " nan\n", 1),
+        lambda t: t.replace("sigma2 0.0097384786127945218", "sigma2 inf"),
     ], ids=["empty", "v2", "other-kind", "no-p", "no-n_obs", "no-ma", "empty-sigma2",
-            "short-ar", "long-ma"])
+            "short-ar", "long-ma", "nan-ar", "inf-sigma2"])
     def test_malformed_document_raises_value_error(self, edit):
         text = edit(V1_DOCUMENT.read_text(encoding="utf-8"))
         with pytest.raises(ValueError):

@@ -281,48 +281,29 @@ class TestCompareCommand:
         assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
         assert (out1 / "predictions.csv").read_bytes() == (out2 / "predictions.csv").read_bytes()
 
-    def test_one_order_search_and_two_trainings(self, tmp_path, monkeypatch):
-        # Each call appends its name to a file, so that a call in a training
-        # worker counts too.
-        log = tmp_path / "calls.log"
-
-        def counting(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                with open(log, "a", encoding="utf-8") as fh:
-                    fh.write(name + "\n")
-                return original(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(arima_mod, "select_order")
-        counting(lstm_mod, "train")
+    def test_one_order_search_and_two_trainings(self, tmp_path, call_log):
+        call_log.record(arima_mod, "select_order")
+        call_log.record(lstm_mod, "train")  # a call in a training worker counts too
         code, _ = self.run_compare(tmp_path)
         assert code == EXIT_OK
-        names = log.read_text(encoding="utf-8").split()
+        names = call_log.lines()
         calls = {name: names.count(name) for name in ("select_order", "train")}
         assert calls == {"select_order": 1, "train": 2}
 
     def test_the_training_worker_writes_the_bytes_of_an_in_process_compare(self, tmp_path,
-                                                                           monkeypatch):
-        original, pids = lstm_mod.train, tmp_path / "pids.log"
-
-        def recording_train(*args, **kwargs):
-            with open(pids, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return original(*args, **kwargs)
-        monkeypatch.setattr(lstm_mod, "train", recording_train)
+                                                                           monkeypatch, call_log):
+        call_log.record(lstm_mod, "train", lambda *args, **kwargs: str(os.getpid()))
         outputs = {}
         for spare_cpu in (False, True):
             monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda spare=spare_cpu: spare)
             code, out = self.run_compare(tmp_path)
             assert code == EXIT_OK
-            trainers = set(pids.read_text(encoding="utf-8").split())
+            trainers = set(call_log.lines())
             assert len(trainers) == (2 if spare_cpu else 1)  # the worker is another process
             outputs[spare_cpu] = {p.relative_to(out): p.read_bytes()
                                   for p in sorted(out.rglob("*")) if p.is_file()}
             out.rename(tmp_path / f"spare-cpu-{spare_cpu}")
-            pids.unlink()
+            call_log.clear()
         assert len(outputs[True]) == 4
         assert outputs[True] == outputs[False]
 
@@ -451,18 +432,12 @@ class TestCompareCommand:
                                      "hybrid": "FitError: refit diverged"}
         assert [r["model"] for r in payload["rows"]] == ["lstm"]
 
-    def test_arima_model_is_written_when_only_the_hybrid_fails(self, tmp_path, monkeypatch):
+    def test_arima_model_is_written_when_only_the_hybrid_fails(self, tmp_path, call_log):
         # ARIMA(5,1,5) on 10-value windows leaves 4 residuals per step, fewer
         # than the net's window of 5: the hybrid fails, the arima kind does not.
         # The hybrid refuses before it trains a net: only the lstm kind's seed
-        # trains (in a file, so that a training in a forked worker counts).
-        original, seeds = lstm_mod.train, tmp_path / "seeds.log"
-
-        def recording_train(net, data, cfg, **kwargs):
-            with open(seeds, "a", encoding="utf-8") as fh:
-                fh.write(f"{cfg.seed}\n")
-            return original(net, data, cfg, **kwargs)
-        monkeypatch.setattr(lstm_mod, "train", recording_train)
+        # trains, in this process or in a forked worker.
+        call_log.record(lstm_mod, "train", lambda net, data, cfg, **kwargs: str(cfg.seed))
         series = generate_synthetic("linear-plus-sine", 400, {"base": 10.0}, seed=0)
         csv, out = tmp_path / "s.csv", tmp_path / "o"
         write_series_csv(csv, series)
@@ -479,7 +454,7 @@ class TestCompareCommand:
             "hybrid": "DegenerateInputError: need 5 recent residuals, got 4"}
         assert [p.name for p in (out / "models").iterdir()] == ["arima.txt"]
         assert (out / "models" / "arima.txt").read_text() == arima_mod.serialize(train_fit)
-        assert seeds.read_text(encoding="utf-8").split() == [str(SEED_OFFSETS["lstm"])]
+        assert call_log.lines() == [str(SEED_OFFSETS["lstm"])]
 
     def test_model_files_deserializable(self, tmp_path):
         _, out = self.run_compare(tmp_path)
@@ -664,18 +639,19 @@ class TestExitCodes:
         assert "learning rate must be finite and positive" in capsys.readouterr().err
         assert not (out / "models").exists()
 
-    def test_compare_window_L_below_one_trains_nothing(self, tmp_path, monkeypatch):
-        trainings = []
-        original = lstm_mod.train
-        monkeypatch.setattr(lstm_mod, "train",
-                            lambda *a, **k: trainings.append(1) or original(*a, **k))
+    def test_compare_window_L_below_one_trains_nothing(self, tmp_path, monkeypatch, call_log):
+        # A walk that no kind can take is refused before any net trains, in
+        # this process or in a training worker.
+        call_log.record(lstm_mod, "train")
+        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
         csv = tmp_path / "s.csv"
         write_series_csv(csv, generate_synthetic("random-walk", 200, {"base": 10.0}, seed=0))
-        code = main(["compare", "--input", str(csv), "--out", str(tmp_path / "o"),
-                     "--window-L", "0", "--order", "0,1,0", "--epochs", "1",
-                     "--layers", "1", "--hidden", "4", "--window-m", "5"])
-        assert code == EXIT_USAGE
-        assert trainings == []
+        for walk in (["--window-L", "0"], ["--split", "100,50,10"]):
+            code = main(["compare", "--input", str(csv), "--out", str(tmp_path / "o"), *walk,
+                         "--order", "0,1,0", "--epochs", "1",
+                         "--layers", "1", "--hidden", "4", "--window-m", "5"])
+            assert code == EXIT_USAGE, walk
+            assert call_log.lines() == [], walk
 
     def test_compare_failing_every_kind_names_the_cause_and_writes_nothing(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"
@@ -755,17 +731,21 @@ class TestExitCodes:
                    for msg in metrics["failed"].values())
 
     def test_a_window_m_the_training_segment_cannot_fill_is_a_usage_error(self, tmp_path,
-                                                                         capsys):
+                                                                         capsys, monkeypatch):
         csv = tmp_path / "s.csv"
         write_series_csv(csv, generate_synthetic("random-walk", 500, {"base": 10.0}, seed=1))
         flags = ["--input", str(csv), "--order", "0,1,0", "--epochs", "1", "--layers", "1",
                  "--hidden", "2", "--window-m", "400"]
-        assert main(["compare", "--out", str(tmp_path / "cmp")] + flags) == EXIT_USAGE
-        out = capsys.readouterr().out
-        assert ("FAILED lstm: ConfigurationError: 357 training values cannot fill windows of "
-                "length 400") in out
-        assert ("FAILED hybrid: ConfigurationError: 356 training residuals cannot fill windows "
-                "of length 400") in out
+        # The lstm kind's refusal reads the same from its worker as in process.
+        for spare_cpu in (False, True):
+            monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda spare=spare_cpu: spare)
+            out_dir = tmp_path / f"cmp-spare-cpu-{spare_cpu}"
+            assert main(["compare", "--out", str(out_dir)] + flags) == EXIT_USAGE, spare_cpu
+            out = capsys.readouterr().out
+            assert ("FAILED lstm: ConfigurationError: 357 training values cannot fill windows of "
+                    "length 400") in out
+            assert ("FAILED hybrid: ConfigurationError: 356 training residuals cannot fill "
+                    "windows of length 400") in out
         assert main(["fit-hybrid", "--out", str(tmp_path / "fit")] + flags) == EXIT_USAGE
 
     # The exit code README documents for each NavcastError subclass.

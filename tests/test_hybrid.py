@@ -454,15 +454,20 @@ class TestCompareModels:
             compare_models(s, spec, FAST)
         assert multiprocessing.active_children() == []
 
-    def test_one_failure_does_not_sink_the_rest(self):
+    def test_one_failure_does_not_sink_the_rest(self, monkeypatch):
         # Constant-ish series: LSTM scaling of a constant train segment fails,
-        # but ARIMA persistence still works.
+        # but ARIMA persistence still works.  The lstm kind's refusal reads the
+        # same from its training worker as in process.
         values = np.full(120, 3.0)
         s = as_series(values)
-        res = compare_models(
-            s, SplitSpec(80, 20, 20),
-            TrainConfig(epochs=1, layers=1, hidden_dim=4, window_m=5, seed=0),
-            arima_order=arima.ArimaOrder(0, 1, 0),
-        )
-        assert "lstm" in res.failures
-        assert "arima" in res.runs
+        for spare_cpu in (False, True):
+            monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda spare=spare_cpu: spare)
+            res = compare_models(
+                s, SplitSpec(80, 20, 20),
+                TrainConfig(epochs=1, layers=1, hidden_dim=4, window_m=5, seed=0),
+                arima_order=arima.ArimaOrder(0, 1, 0),
+            )
+            assert "lstm" in res.failures
+            assert failure_message(res.failures["lstm"]) == (
+                "DegenerateInputError: cannot scale a constant series"), spare_cpu
+            assert "arima" in res.runs

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 import scipy
 
+import navcast.hybrid as hybrid_mod
 from navcast.cli import generate_synthetic, main, write_series_csv
 
 PINNED = Path(__file__).parent / "data" / "pinned_outputs.json"
@@ -87,14 +88,22 @@ def output_digest(name: str, work: Path) -> str:
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_outputs_match_the_pinned_digests(name, tmp_path):
+def test_outputs_match_the_pinned_digests(name, tmp_path, monkeypatch):
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
-    got = output_digest(name, tmp_path)
-    if got != pinned["digests"][name]:
-        stack = running_stack()
-        same = "the same stack" if stack == pinned["stack"] else "a different stack"
-        pytest.fail(f"{name} wrote other bytes than pinned ({got} != {pinned['digests'][name]}), "
-                    f"on {same}: pinned on {pinned['stack']}, running on {stack}")
+    # compare trains its nets in forked workers given a spare CPU, and in
+    # process otherwise: each compare case runs on both process layouts.
+    layouts = (False, True) if name.startswith("compare-") else (hybrid_mod._spare_cpu(),)
+    for spare_cpu in layouts:
+        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda spare=spare_cpu: spare)
+        work = tmp_path / f"spare-cpu-{spare_cpu}"
+        work.mkdir()
+        got = output_digest(name, work)
+        if got != pinned["digests"][name]:
+            stack = running_stack()
+            same = "the same stack" if stack == pinned["stack"] else "a different stack"
+            pytest.fail(f"{name} wrote other bytes than pinned ({got} != "
+                        f"{pinned['digests'][name]}) with _spare_cpu() {spare_cpu}, on {same}: "
+                        f"pinned on {pinned['stack']}, running on {stack}")
 
 
 def record():
