@@ -22,11 +22,18 @@ about as much as the CSS evaluation itself on the short windows that the
 order search and the rolling refits fit.
 
 The residual recursion eps = phi(B) z / (1 - theta(B)) is one FIR pass
-(`np.convolve`) and one unit lower triangular banded solve (LAPACK dtbtrs).
+(`np.convolve`, or `np.correlate` with the reversed kernel inside the
+objective) and one unit lower triangular banded solve (LAPACK dtbtrs).
 Fits run it on the training sample; forecasts and residuals of a fitted
 model read one run of it (`_forecast_and_residuals`): the one-step forecast
 is the next value whose residual is zero (Box, Jenkins, Reinsel & Ljung,
 ch. 5).
+
+`fit` and `select_order` run numpy's and scipy's OpenBLAS on one thread for
+the length of the call.  Given a spare CPU, `select_order` fits its 36
+candidates in two processes: this one and one forked worker take them from
+one queue, costliest first (`navcast._fork`), and the report, the chosen
+fit and the warnings are those of a search in one process.
 
 dtbtrs and setulb are the only compiled scipy routines navcast calls.  The
 module loads them from the extension modules scipy.linalg._flapack and
@@ -38,6 +45,8 @@ time and memory of every navcast process.
 
 from __future__ import annotations
 
+import functools
+import math
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -48,7 +57,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import _doc
+from . import _blas, _doc, _fork
 from .errors import FIT_FAILURES, AnalysisError, DegenerateInputError, FitError
 from .series import (MAX_DIFFERENCES, TimeSeries, _autocovariances, _first_stationary,
                      adf_test, difference)
@@ -151,14 +160,12 @@ def _ar_filter(z, phi):
     return np.convolve(z, np.concatenate(([1.0], np.negative(phi, dtype=float))))[: len(z)]
 
 
-def _ma_inverse(theta, n, band=None):
+def _ma_inverse(theta, n):
     """b -> A^-1 b, A the n x n unit lower triangular Toeplitz matrix of 1 - theta(B),
     by forward substitution (LAPACK dtbtrs) on one Fortran-ordered band whose
     every column is [1, -theta_1, ..., -theta_q] (unit diagonal not read; with
-    q = 0 it only copies).  A caller that solves for many theta passes the
-    same (q + 1) x n band each time, and it is refilled in place."""
-    if band is None:
-        band = np.ones((len(theta) + 1, n), order="F")
+    q = 0 it only copies)."""
+    band = np.ones((len(theta) + 1, n), order="F")
     band[1:] = np.negative(theta, dtype=float)[:, None]
     return lambda b: dtbtrs(band, b, uplo="L", diag="U")[0]
 
@@ -180,7 +187,9 @@ def _css_objective(z, p, q):
     w = A^-T r, dCSS/dphi_i = -2 sum w_t z_{t-i} and dCSS/dtheta_j =
     2 sum w_t eps_{t-j}.  A^-T is A^-1 in reversed time, so w is a second
     solve on the same band, run backwards: one band and two solves per
-    evaluation whatever p + q is, and one band allocation per fit.
+    evaluation whatever p + q is.  The AR kernel, the reversed residuals
+    and the padded w are allocated once per fit; each evaluation returns a
+    fresh gradient array, because L-BFGS-B keeps the one before.
 
     Explosive candidates overflow, so callers run the objective under
     np.errstate(over="ignore", invalid="ignore"); it then reports CSS_CAP
@@ -188,21 +197,28 @@ def _css_objective(z, p, q):
     propagating NaN.
     """
     n = len(z)
-    band = np.ones((q + 1, n), order="F")
+    column = np.ones(q + 1)  # every column of the band: [1, -theta_1, ..., -theta_q]
+    kernel = np.ones(p + 1)  # 1 - phi(B) reversed, [-phi_p, ..., -phi_1, 1]: its FIR pass correlates
+    reversed_r = np.zeros(n)  # r reversed in time; its last p entries stay zero
+    # Zero-padded so that correlating it with a length-n series gives
+    # sum_t w_t x_{t-k} for k = 0 .. max(p, q).
+    w = np.zeros(n + max(p, q))
 
     def objective(x):
-        phi, theta = x[:p], x[p:]
-        solve = _ma_inverse(theta, n, band)
-        eps = solve(_ar_filter(z, phi))
+        np.negative(x[:p][::-1], out=kernel[:p])
+        np.negative(x[p:], out=column[1:])
+        # Fortran-ordered, as dtbtrs reads it: n copies of one column are
+        # faster to make than to write q values into each column of a kept band.
+        band = column[None].repeat(n, 0).T
+        eps = dtbtrs(band, np.correlate(z, kernel, "full")[:n], "L", "N", "U")[0]
         tail = eps[p:]
         css = float(tail @ tail)
-        r = np.concatenate((np.zeros(p), tail))
-        # Zero-padded so that correlating it with a length-n series gives
-        # sum_t w_t x_{t-k} for k = 0 .. max(p, q).
-        w = np.concatenate((solve(r[::-1])[::-1], np.zeros(max(p, q))))
-        grad = 2.0 * np.concatenate((-np.correlate(w[: n + p], z)[1:],
-                                     np.correlate(w[: n + q], eps)[1:]))
-        if not (np.isfinite(css) and np.all(np.isfinite(grad))):
+        reversed_r[: n - p] = tail[::-1]
+        w[:n] = dtbtrs(band, reversed_r, "L", "N", "U")[0][::-1]
+        grad = np.empty(p + q)
+        np.multiply(np.correlate(w[: n + p], z)[1:], -2.0, out=grad[:p])
+        np.multiply(np.correlate(w[: n + q], eps)[1:], 2.0, out=grad[p:])
+        if not (math.isfinite(css) and np.isfinite(grad).all()):
             return CSS_CAP, np.zeros(p + q)
         return css, grad
 
@@ -266,8 +282,9 @@ def _lbfgsb(objective, x0, lo, hi):
             return x, bool(task[0] == 4)
 
 
+@_blas.single_threaded()
 def fit(series: TimeSeries, order: ArimaOrder) -> ArimaModel:
-    """Estimate an ARIMA(p,d,q) model by conditional sum of squares.
+    """Estimate an ARIMA(p,d,q) model by conditional sum of squares, on one BLAS thread.
 
     Raises FitError, whatever the order, when the CSS of the final residuals
     is not below CSS_CAP.
@@ -332,12 +349,37 @@ def aic(model: ArimaModel) -> float:
     return n * float(np.log(model.sigma2)) + 2 * k
 
 
+def _attempt(series: TimeSeries, order: ArimaOrder):
+    """One candidate of the order search: (outcome, warnings).  The outcome is
+    (its fit, its AIC), or the message of the fit failure that defeated it;
+    the warnings are those the fit issued, as (message, category, filename,
+    lineno)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            model = fit(series, order)
+            outcome = model, aic(model)
+        except FIT_FAILURES as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+    return outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+@_blas.single_threaded()
 def select_order(series: TimeSeries) -> OrderSearchReport:
     """Pick d by the ADF test, then (p,q) by AIC over the grid SEARCH_CAPS:
     p <= 5, d <= MAX_DIFFERENCES, q <= 5.
 
     Ties break toward the smallest p+q, then the smallest p, so the result is
     independent of grid evaluation order.
+
+    With a spare CPU (`_fork.spare_cpu`) this process and one forked worker
+    fit the candidates, each taking the costliest left; every fit runs on
+    one BLAS thread.  The report is bitwise the same either way: each
+    candidate's warnings are recorded where it is fitted and issued again
+    here, in grid order, as from `fit`.  A fit failure is that candidate's
+    failure wherever it is fitted; any other exception propagates, from the
+    worker with its traceback as the cause, and a worker that exits without
+    sending its fits makes the search raise RuntimeError.
     """
     d_chosen = _first_stationary(adf_test(difference(series, d)) for d in range(SEARCH_CAPS.d + 1))
     if d_chosen is None:
@@ -345,16 +387,24 @@ def select_order(series: TimeSeries) -> OrderSearchReport:
             f"series is not stationary after up to {SEARCH_CAPS.d} differences; "
             "unsuitable for ARIMA modelling"
         )
+    orders = [ArimaOrder(p, d_chosen, q)
+              for p in range(SEARCH_CAPS.p + 1) for q in range(SEARCH_CAPS.q + 1)]
+    # An L-BFGS-B fit costs more as p and q grow; a pure AR fit is one
+    # least-squares solve.
+    costliest_first = sorted(range(len(orders)), key=lambda i: -(orders[i].p + 1) * orders[i].q)
+    attempts = _fork.shared_map("the order search's worker", functools.partial(_attempt, series),
+                                orders, costliest_first)
+    registry = globals().setdefault("__warningregistry__", {})  # fit's, as warnings.warn finds it
     candidates, fits, failures = [], {}, []
-    for p in range(SEARCH_CAPS.p + 1):
-        for q in range(SEARCH_CAPS.q + 1):
-            order = ArimaOrder(p, d_chosen, q)
-            try:
-                fits[order] = fit(series, order)
-                candidates.append((order, aic(fits[order]), fits[order].converged))
-            except FIT_FAILURES as exc:
-                candidates.append((order, float("inf"), False))
-                failures.append(f"ARIMA{order}: {type(exc).__name__}: {exc}")
+    for order, (outcome, caught) in zip(orders, attempts):
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, __name__, registry)
+        if isinstance(outcome, str):
+            candidates.append((order, float("inf"), False))
+            failures.append(f"ARIMA{order}: {outcome}")
+        else:
+            fits[order], value = outcome
+            candidates.append((order, value, fits[order].converged))
     converged = [c for c in candidates if c[2]]
     if not converged:
         first = f"; first failure {failures[0]}" if failures else ""

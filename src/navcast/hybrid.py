@@ -9,13 +9,11 @@ window of past observations only and appending the actual afterwards.
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _blas
+from . import _blas, _fork
 from . import arima as arima_mod
 from . import lstm as lstm_mod
 from .errors import FIT_FAILURES, ComparisonError, ConfigurationError, DegenerateInputError
@@ -93,66 +91,6 @@ def _fit_lstm(train: TimeSeries, val: TimeSeries, cfg: TrainConfig) -> tuple:
     scale = fit_scale(train.values)
     stream = np.concatenate((train.values, val.values))
     return scale, _train_net(stream, len(train), scale, cfg).net
-
-
-def _spare_cpu() -> bool:
-    """Whether a forked worker can train beside this process: fork exists and 2+ CPUs are ours."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
-
-
-class _WorkerTraceback(Exception):
-    """The cause given to an exception raised again from a training worker: its traceback."""
-
-
-@contextlib.contextmanager
-def _training(kind: str, func, *args, **kwargs):
-    """Yield a function that returns func(*args, **kwargs): model kind `kind`'s training.
-
-    With a spare CPU the training runs in one forked worker from entry on,
-    and the function waits for it and raises what the training raised;
-    otherwise the function trains in process.  No worker outlives the block.
-    """
-    if not _spare_cpu():
-        yield lambda: func(*args, **kwargs)
-        return
-    import multiprocessing
-    import signal
-    import traceback
-
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-
-    def train() -> None:  # the worker's body; a fork-context target is not pickled
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's; it ends the worker
-        try:
-            message = "result", func(*args, **kwargs), None
-        except Exception as exc:  # the parent raises it, or records it as the kind's failure
-            message = "raised", exc, traceback.format_exc()
-        sender.send(message)
-
-    worker = context.Process(target=train, daemon=True)
-    worker.start()
-    sender.close()
-
-    def result():
-        try:
-            outcome, value, trace = receiver.recv()
-        except EOFError:
-            worker.join()
-            raise RuntimeError(f"the {kind} kind's training worker exited with code "
-                               f"{worker.exitcode} before it sent a net") from None
-        if outcome == "raised":
-            raise value from _WorkerTraceback(trace)
-        return value
-
-    try:
-        yield result
-    finally:
-        receiver.close()
-        worker.terminate()  # a worker still training trains a net no longer wanted
-        worker.join()
-        worker.close()
 
 
 def _fewest_walk_residuals(spec: SplitSpec, window_L: int, order: arima_mod.ArimaOrder) -> int:
@@ -354,7 +292,8 @@ def compare_models(
     CPU, each kind's whole training fit, its refusals included, runs in its
     own forked worker, the lstm kind's from the start and the hybrid's from
     the arima fit on, while this process walks ARIMA over the test segment.
-    The order search, every ARIMA fit and every walk run here.
+    Every ARIMA fit and every walk run here, but for the order search's
+    share of candidates that its own worker fits (arima.select_order).
     """
     runs, failures = {}, {}
     cfgs = {kind: _kind_config(cfg, kind) for kind in MODEL_KINDS}
@@ -366,12 +305,14 @@ def compare_models(
     else:
         train = series.slice(0, spec.train_len)
         val = series.slice(spec.train_len, spec.train_len + spec.val_len)
-        with _training("lstm", _fit_lstm, train, val, cfgs["lstm"]) as lstm_fit:
+        with _fork.forked("the lstm kind's training worker", "a net",
+                          _fit_lstm, train, val, cfgs["lstm"]) as lstm_fit:
             try:  # one model failing must not sink the others
                 arima_fit = arima_mod._fit_or_search(train, arima_order)
-                with _training("hybrid", fit_hybrid, train, val, arima_fit, cfgs["hybrid"],
-                               _walk_residuals=_fewest_walk_residuals(
-                                   spec, window_L, arima_fit.order)) as hybrid_fit:
+                with _fork.forked("the hybrid kind's training worker", "a net",
+                                  fit_hybrid, train, val, arima_fit, cfgs["hybrid"],
+                                  _walk_residuals=_fewest_walk_residuals(
+                                      spec, window_L, arima_fit.order)) as hybrid_fit:
                     runs["arima"] = sliding_window_evaluate(
                         series, spec, "arima", cfgs["arima"], **walk, _fit=arima_fit)
                     try:

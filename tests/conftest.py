@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,12 @@ def random_walk(n, seed, drift=0.0, sigma=1.0):
 
 def as_series(values):
     return TimeSeries.from_values(values)
+
+
+def assert_no_children():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

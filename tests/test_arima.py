@@ -1,4 +1,6 @@
+import os
 import re
+import time
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -10,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+import navcast._fork as _fork
 import navcast.arima as arima
 from navcast.arima import (
     ArimaModel, ArimaOrder, aic, deserialize, fit, forecast_one, residuals, select_order, serialize,
 )
 from navcast.cli import generate_synthetic
 from navcast.errors import AnalysisError, DegenerateInputError, FitError
-from conftest import as_series, random_walk, simulate_ar1, simulate_ma1
+from conftest import as_series, assert_no_children, random_walk, simulate_ar1, simulate_ma1
 
 V1_DOCUMENT = Path(__file__).parent / "data" / "arima_v1.txt"
 PAPER_PARAMS = {"sigma": 0.001, "amplitude": 4.0, "period": 25.0, "base": 10.0}
@@ -277,6 +280,101 @@ class TestSelectOrder:
         assert (report.model.intercept, report.model.sigma2) == (ref.intercept, ref.sigma2)
 
 
+def paper_training_segment():
+    """The paper fixture's 900-day training segment, whose search warns."""
+    return generate_synthetic("linear-plus-sine", 1260, PAPER_PARAMS, seed=0).slice(0, 900)
+
+
+class TestSearchWorker:
+    """Given a spare CPU, select_order shares its 36 fits with one forked worker."""
+
+    @pytest.fixture(params=[False, True], ids=["in-process", "worker"])
+    def spare_cpu(self, request, monkeypatch):
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: request.param)
+        return request.param
+
+    def test_every_candidate_is_fitted_once_across_processes(self, spare_cpu, call_log):
+        call_log.record(arima, "fit", lambda series, order: f"{order} {os.getpid()}")
+        report = select_order(paper_training_segment())
+        assert_no_children()
+        fitted = [line.split() for line in call_log.lines()]
+        assert len(fitted) == 36
+        assert sorted(order for order, _ in fitted) == sorted(str(o) for o, _, _ in report.candidates)
+        assert len({pid for _, pid in fitted}) == (2 if spare_cpu else 1)
+
+    def test_warnings_are_the_same_in_both_layouts(self, monkeypatch):
+        s = paper_training_segment()
+        issued = {}
+        for spare_cpu in (False, True):
+            monkeypatch.setattr(_fork, "spare_cpu", lambda spare=spare_cpu: spare)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                select_order(s)
+            issued[spare_cpu] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        assert issued[True] == issued[False]
+        # In grid order, each from where fit issues it.
+        grid = [ArimaOrder(p, 1, q) for p in range(6) for q in range(6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            unstable = [o for o in grid if not fit(s, o).ar_stationary]
+        assert unstable
+        assert [message for _, message, _, _ in issued[True]] == [
+            f"AR polynomial of ARIMA{o} fit is non-stationary" for o in unstable]
+        assert {(category, filename) for category, _, filename, _ in issued[True]} == {
+            (UserWarning, arima.__file__)}
+
+    def test_a_programming_error_propagates_with_its_type(self, spare_cpu, monkeypatch):
+        def broken_fit(series, order):
+            raise TypeError("broken fit code")
+        monkeypatch.setattr(arima, "fit", broken_fit)
+        with pytest.raises(TypeError, match="^broken fit code$"):
+            select_order(paper_training_segment())
+        assert_no_children()
+
+    def test_a_programming_error_in_the_worker_carries_its_traceback(self, monkeypatch):
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: True)
+        original, parent = arima.fit, os.getpid()
+
+        def broken_in_the_worker(series, order):
+            if os.getpid() != parent:
+                raise TypeError("broken fit code")
+            return original(series, order)
+        monkeypatch.setattr(arima, "fit", broken_in_the_worker)
+        with pytest.raises(TypeError, match="^broken fit code$") as raised:
+            select_order(paper_training_segment())
+        assert "in broken_in_the_worker" in str(raised.value.__cause__)
+        assert_no_children()
+
+    def test_a_worker_that_exits_makes_the_search_raise(self, monkeypatch):
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: True)
+        original, parent = arima.fit, os.getpid()
+
+        def dying_in_the_worker(series, order):
+            if os.getpid() != parent:
+                os._exit(1)
+            return original(series, order)
+        monkeypatch.setattr(arima, "fit", dying_in_the_worker)
+        with pytest.raises(RuntimeError, match="^the order search's worker exited with code 1 "
+                                               "before it sent its results$"):
+            select_order(paper_training_segment())
+        assert_no_children()
+
+    def test_a_failing_search_ends_a_worker_still_fitting(self, monkeypatch):
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: True)
+        parent = os.getpid()
+
+        def stalling_in_the_worker(series, order):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise TypeError("broken fit code")
+        monkeypatch.setattr(arima, "fit", stalling_in_the_worker)
+        started = time.monotonic()
+        with pytest.raises(TypeError, match="^broken fit code$"):
+            select_order(paper_training_segment())
+        assert time.monotonic() - started < 30
+        assert_no_children()
+
+
 def css(z, phi, theta, p):
     """The CSS objective and its gradient at one point (phi, theta)."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -312,6 +410,57 @@ class TestCssGradient:
         value, grad = css(np.array([1e200, -1e200, 1e200]), [0.5], [0.5], 1)
         assert value == arima.CSS_CAP
         assert np.array_equal(grad, np.zeros(2))
+
+
+def css_objective_by_concatenation(z, p, q):
+    """The CSS objective as arima._css_objective was first written: the same
+    FIR pass, band solves and correlations, with fresh arrays on every call.
+    Kept as the bitwise reference for the leaner objective."""
+    n = len(z)
+    band = np.ones((q + 1, n), order="F")
+
+    def objective(x):
+        phi, theta = x[:p], x[p:]
+        band[1:] = np.negative(theta, dtype=float)[:, None]
+
+        def solve(b):
+            return arima.dtbtrs(band, b, uplo="L", diag="U")[0]
+        eps = solve(np.convolve(z, np.concatenate(([1.0], np.negative(phi, dtype=float))))[:n])
+        tail = eps[p:]
+        css = float(tail @ tail)
+        r = np.concatenate((np.zeros(p), tail))
+        w = np.concatenate((solve(r[::-1])[::-1], np.zeros(max(p, q))))
+        grad = 2.0 * np.concatenate((-np.correlate(w[: n + p], z)[1:],
+                                     np.correlate(w[: n + q], eps)[1:]))
+        if not (np.isfinite(css) and np.all(np.isfinite(grad))):
+            return arima.CSS_CAP, np.zeros(p + q)
+        return css, grad
+
+    return objective
+
+
+class TestCssObjectiveReference:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_value_and_gradient_bytes_match_the_reference(self, data):
+        p, q = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        n = data.draw(st.integers(p + q + 2, 400))
+        capped = data.draw(st.booleans())
+        scale = 1e160 if capped else data.draw(st.floats(1e-4, 1e2))
+        z = scale * np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=n)
+        box = st.tuples(*[st.floats(-1.5, 1.5)] * p, *[st.floats(-0.99, 0.99)] * q)
+        points = [np.array(data.draw(box), dtype=float) for _ in range(2)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lean, reference = arima._css_objective(z, p, q), css_objective_by_concatenation(z, p, q)
+            got = [lean(x) for x in points]
+            want = [reference(x) for x in points]
+        for (value, grad), (ref_value, ref_grad) in zip(got, want):
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            assert grad.dtype == ref_grad.dtype and grad.tobytes() == ref_grad.tobytes()
+        if capped:
+            assert got[0][0] == arima.CSS_CAP
+        # Each call returns its own gradient: L-BFGS-B keeps the last one.
+        assert not np.shares_memory(got[0][1], got[1][1])
 
 
 def css_problem(values, order):
@@ -629,6 +778,7 @@ class TestSerialization:
             candidates.append(fit(series, order))
             return candidates[-1]
         monkeypatch.setattr(arima, "fit", recording)
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: False)  # every fit recorded here
         select_order(s)
         assert len(candidates) == 36
         assert any(not m.ar_stationary for m in candidates)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import navcast.arima as arima_mod
-import navcast.hybrid as hybrid_mod
+import navcast._fork as _fork
 from navcast.cli import EXIT_OK, generate_synthetic, main, write_series_csv
 from navcast.series import SplitSpec
 
@@ -87,7 +87,7 @@ def count(spans, name):
 
 def test_fixed_order_refit_compare_fits_and_forecasts_once_per_step(traced_compare, monkeypatch):
     # Both trainings in this process, where the tracer sees them.
-    monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: False)
+    monkeypatch.setattr(_fork, "spare_cpu", lambda: False)
     run, _ = traced_compare
     spans = run("--order", "1,1,0", "--refit", "arima")
     test_len = SplitSpec.proportional(N).test_len
@@ -109,7 +109,7 @@ def test_fixed_order_refit_compare_fits_and_forecasts_once_per_step(traced_compa
 
 def test_the_tracer_sees_no_training_with_workers(traced_compare, monkeypatch):
     # Each net trains in a forked worker, whose spans stay there.
-    monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+    monkeypatch.setattr(_fork, "spare_cpu", lambda: True)
     run, _ = traced_compare
     spans = run("--order", "1,1,0", "--refit", "arima")
     test_len = SplitSpec.proportional(N).test_len
@@ -132,9 +132,11 @@ def test_the_order_search_tests_no_d_past_the_first_stationary_one(traced_main, 
     assert count(spans, "series.adf_test") == d + 1
 
 
-def test_auto_order_search_runs_once_in_compare_before_the_walks(traced_compare):
+def test_auto_order_search_runs_once_in_compare_before_the_walks(traced_compare, monkeypatch):
     # compare_models fits the arima kind on the training segment itself, so
     # that the hybrid's net can train from that fit on while ARIMA walks.
+    # Every fit in this process, where the tracer sees all 36 of the search.
+    monkeypatch.setattr(_fork, "spare_cpu", lambda: False)
     run, spans_mod = traced_compare
     spans = run()
     searches = [s for s in spans if s[spans_mod.NAME] == "arima.select_order"]
@@ -152,7 +154,7 @@ def test_the_lstm_layer_metrics_read_the_network(traced_compare, monkeypatch):
     # spans.py reads each layer's weights (vars(layer)) for the training
     # input digest, and hidden_dim and W_f's shape for the BPTT FLOP count;
     # both trainings run in this process, where the tracer sees them.
-    monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: False)
+    monkeypatch.setattr(_fork, "spare_cpu", lambda: False)
     run, spans_mod = traced_compare
     metrics = spans_mod.layer_metrics(run("--order", "1,1,0"))
     gflop_s = metrics["lstm.bptt_gradients.gflop_s_computed"]

@@ -2,7 +2,6 @@ import ctypes
 import functools
 import importlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -30,9 +29,9 @@ from navcast.cli import (
     write_series_csv,
 )
 import navcast._blas as blas_mod
+import navcast._fork as _fork
 import navcast.arima as arima_mod
 import navcast.cli as cli_mod
-import navcast.hybrid as hybrid_mod
 import navcast.lstm as lstm_mod
 from navcast.errors import (
     AnalysisError,
@@ -44,6 +43,7 @@ from navcast.errors import (
 )
 from navcast.hybrid import SEED_OFFSETS, failure_message
 from navcast.series import SplitSpec, TimeSeries, acf, fit_scale
+from conftest import assert_no_children
 
 
 class TestIngestCsv:
@@ -295,7 +295,7 @@ class TestCompareCommand:
         call_log.record(lstm_mod, "train", lambda *args, **kwargs: str(os.getpid()))
         outputs = {}
         for spare_cpu in (False, True):
-            monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda spare=spare_cpu: spare)
+            monkeypatch.setattr(_fork, "spare_cpu", lambda spare=spare_cpu: spare)
             code, out = self.run_compare(tmp_path)
             assert code == EXIT_OK
             trainers = set(call_log.lines())
@@ -317,7 +317,7 @@ class TestCompareCommand:
                 raise FitError("worker training diverged")
             return original(net, data, cfg, **kwargs)
         monkeypatch.setattr(lstm_mod, "train", failing_train)
-        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: True)
 
     def test_a_fit_error_in_the_training_worker_fails_the_lstm_kind(self, tmp_path, monkeypatch,
                                                                     capsys):
@@ -357,12 +357,12 @@ class TestCompareCommand:
             return original_fit(series, order)
         monkeypatch.setattr(lstm_mod, "train", stalling_train)
         monkeypatch.setattr(arima_mod, "fit", failing_refit)
-        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: True)
         started = time.monotonic()
         code, out = self.run_compare(
             tmp_path, extra=["--order", "1,1,0", "--refit", "arima", "--window-L", "60"])
         assert time.monotonic() - started < 30
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         assert code == EXIT_TRAINING
         payload = json.loads((out / "metrics.json").read_text())
         assert payload["failed"] == {"arima": "FitError: refit diverged",
@@ -643,7 +643,7 @@ class TestExitCodes:
         # A walk that no kind can take is refused before any net trains, in
         # this process or in a training worker.
         call_log.record(lstm_mod, "train")
-        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: True)
         csv = tmp_path / "s.csv"
         write_series_csv(csv, generate_synthetic("random-walk", 200, {"base": 10.0}, seed=0))
         for walk in (["--window-L", "0"], ["--split", "100,50,10"]):
@@ -690,10 +690,13 @@ class TestExitCodes:
         csv = tmp_path / "s.csv"
         values = 1e160 * np.random.default_rng(17).uniform(1.0, 3.0, 60)
         write_series_csv(csv, TimeSeries.from_values(values))
-        code = main(["fit-arima", "--input", str(csv), "--out", str(tmp_path / "o")])
-        assert code == EXIT_ANALYSIS
-        err = capsys.readouterr().err
-        assert "36 raised" in err and "FitError" in err and "overflows" in err
+        # A candidate's fit failure reads the same from the search's worker.
+        for spare_cpu in (False, True):
+            monkeypatch.setattr(_fork, "spare_cpu", lambda spare=spare_cpu: spare)
+            code = main(["fit-arima", "--input", str(csv), "--out", str(tmp_path / "o")])
+            assert code == EXIT_ANALYSIS, spare_cpu
+            err = capsys.readouterr().err
+            assert "36 raised" in err and "FitError" in err and "overflows" in err, spare_cpu
 
     def test_training_divergence(self, tmp_path, capsys):
         csv = tmp_path / "s.csv"
@@ -738,7 +741,7 @@ class TestExitCodes:
                  "--hidden", "2", "--window-m", "400"]
         # The lstm kind's refusal reads the same from its worker as in process.
         for spare_cpu in (False, True):
-            monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda spare=spare_cpu: spare)
+            monkeypatch.setattr(_fork, "spare_cpu", lambda spare=spare_cpu: spare)
             out_dir = tmp_path / f"cmp-spare-cpu-{spare_cpu}"
             assert main(["compare", "--out", str(out_dir)] + flags) == EXIT_USAGE, spare_cpu
             out = capsys.readouterr().out
@@ -887,9 +890,9 @@ def test_the_cli_loads_neither_scipy_signal_nor_scipy_stats(tmp_path):
     # A fresh interpreter, so that no other test's imports count.  Nor does
     # it import scipy.linalg or scipy.optimize: navcast.arima loads the two
     # compiled routines it calls from their files, and a later import of
-    # those packages binds the same routines.  Only compare's training
-    # workers import multiprocessing: fit-arima and fit-hybrid, which trains
-    # its one net in process, load no multiprocessing or concurrent module.
+    # those packages binds the same routines.  Nor do fit-arima, fit-hybrid
+    # or compare load a multiprocessing or concurrent module: the order
+    # search's worker and compare's training workers are plain forks.
     csv = tmp_path / "s.csv"
     write_series_csv(csv, generate_synthetic("ar1", 60, {"base": 10.0}, seed=0))
     script = (
@@ -898,6 +901,9 @@ def test_the_cli_loads_neither_scipy_signal_nor_scipy_stats(tmp_path):
         f"'--out', {str(tmp_path / 'o')!r}]) == 0\n"
         f"assert navcast.cli.main(['fit-hybrid', '--input', {str(csv)!r}, "
         f"'--out', {str(tmp_path / 'h')!r}, '--epochs', '1', '--layers', '1', "
+        "'--hidden', '4', '--window-m', '5']) == 0\n"
+        f"assert navcast.cli.main(['compare', '--input', {str(csv)!r}, "
+        f"'--out', {str(tmp_path / 'c')!r}, '--epochs', '1', '--layers', '1', "
         "'--hidden', '4', '--window-m', '5']) == 0\n"
         "loaded = sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.optimize')))\n"
         "unused = sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats',\n"
@@ -1028,6 +1034,27 @@ class TestBlasThreads:
             call()
             assert seen and all(c == [1] * len(c) for c in seen), (name, seen)
             assert counts() == before, name
+
+    @pytest.mark.parametrize("spare_cpu", [False, True])
+    def test_library_order_search_fits_on_one_thread_and_restores_the_counts(
+            self, counts, call_log, monkeypatch, spare_cpu):
+        # Every ARIMA fit solves on its band (dtbtrs), in this process or in
+        # the search's worker.
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: spare_cpu)
+        call_log.record(arima_mod, "dtbtrs", lambda *args, **kwargs: repr(counts()))
+        before = counts()
+        series = generate_synthetic("random-walk", 200, {"base": 10.0}, seed=0)
+        calls = {
+            "fit": lambda: arima_mod.fit(series, arima_mod.ArimaOrder(1, 1, 1)),
+            "select_order": lambda: arima_mod.select_order(series),
+        }
+        for name, call in calls.items():
+            call_log.clear()
+            call()
+            seen = call_log.lines()
+            assert seen and set(seen) == {repr([1] * len(before))}, (name, set(seen))
+            assert counts() == before, name
+        assert_no_children()
 
     def test_import_sets_no_thread_count(self, counts):
         before = counts()

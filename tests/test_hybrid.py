@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import time
 import warnings
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import navcast._fork as _fork
 import navcast.arima as arima
 import navcast.hybrid as hybrid_mod
 import navcast.lstm as lstm_mod
@@ -26,7 +26,7 @@ from navcast.hybrid import (
 from navcast.lstm import LstmNetwork, TrainConfig, _forward_batch
 from navcast.series import SplitSpec, TimeSeries, fit_scale, minmax_scale, minmax_unscale
 from navcast.metrics import MODEL_KINDS, mse
-from conftest import as_series
+from conftest import as_series, assert_no_children
 
 FAST = TrainConfig(epochs=10, layers=1, hidden_dim=8, window_m=10, batch_size=32, seed=0)
 
@@ -395,12 +395,12 @@ class TestCompareModels:
                 raise TypeError("broken training code")
             return original(*args, **kwargs)
         monkeypatch.setattr(lstm_mod, "train", broken_in_a_worker)
-        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: True)
         with pytest.raises(TypeError, match="^broken training code$") as raised:
             compare_models(sine_walk(300, seed=19), SplitSpec(200, 40, 60), FAST,
                            arima_order=arima.ArimaOrder(0, 1, 0))
         assert "in broken_in_a_worker" in str(raised.value.__cause__)  # the worker's traceback
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_a_worker_that_exits_without_a_net_raises(self, monkeypatch):
         original, parent = lstm_mod.train, os.getpid()
@@ -410,11 +410,11 @@ class TestCompareModels:
                 os._exit(1)
             return original(*args, **kwargs)
         monkeypatch.setattr(lstm_mod, "train", dying_in_a_worker)
-        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: True)
         with pytest.raises(RuntimeError, match="worker exited with code 1 before it sent a net"):
             compare_models(sine_walk(300, seed=19), SplitSpec(200, 40, 60), FAST,
                            arima_order=arima.ArimaOrder(0, 1, 0))
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     @pytest.mark.parametrize("kind", ["lstm", "hybrid"])
     def test_a_dying_worker_names_its_kind(self, monkeypatch, kind):
@@ -425,19 +425,19 @@ class TestCompareModels:
                 os._exit(3)
             return original(net, data, cfg, **kwargs)
         monkeypatch.setattr(lstm_mod, "train", dying_in_one_worker)
-        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: True)
         with pytest.raises(RuntimeError, match=f"^the {kind} kind's training worker exited "
                                                "with code 3 before it sent"):
             compare_models(sine_walk(300, seed=19), SplitSpec(200, 40, 60), FAST,
                            arima_order=arima.ArimaOrder(0, 1, 0))
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_no_worker_outlives_compare(self, monkeypatch):
-        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda: True)
+        monkeypatch.setattr(_fork, "spare_cpu", lambda: True)
         s, spec = sine_walk(300, seed=19), SplitSpec(200, 40, 60)
         res = compare_models(s, spec, FAST, arima_order=arima.ArimaOrder(0, 1, 0))
         assert list(res.runs) == list(MODEL_KINDS)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         # The parent fails while the worker still trains: the worker is ended.
         original, parent = lstm_mod.train, os.getpid()
 
@@ -452,7 +452,7 @@ class TestCompareModels:
         monkeypatch.setattr(arima, "select_order", broken_search)
         with pytest.raises(TypeError, match="broken search code"):
             compare_models(s, spec, FAST)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_one_failure_does_not_sink_the_rest(self, monkeypatch):
         # Constant-ish series: LSTM scaling of a constant train segment fails,
@@ -461,7 +461,7 @@ class TestCompareModels:
         values = np.full(120, 3.0)
         s = as_series(values)
         for spare_cpu in (False, True):
-            monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda spare=spare_cpu: spare)
+            monkeypatch.setattr(_fork, "spare_cpu", lambda spare=spare_cpu: spare)
             res = compare_models(
                 s, SplitSpec(80, 20, 20),
                 TrainConfig(epochs=1, layers=1, hidden_dim=4, window_m=5, seed=0),

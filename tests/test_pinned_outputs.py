@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 import scipy
 
-import navcast.hybrid as hybrid_mod
+import navcast._fork as _fork
 from navcast.cli import generate_synthetic, main, write_series_csv
 
 PINNED = Path(__file__).parent / "data" / "pinned_outputs.json"
@@ -90,11 +90,13 @@ def output_digest(name: str, work: Path) -> str:
 @pytest.mark.parametrize("name", CASES)
 def test_outputs_match_the_pinned_digests(name, tmp_path, monkeypatch):
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
-    # compare trains its nets in forked workers given a spare CPU, and in
-    # process otherwise: each compare case runs on both process layouts.
-    layouts = (False, True) if name.startswith("compare-") else (hybrid_mod._spare_cpu(),)
+    # Given a spare CPU, compare trains its nets in forked workers and the
+    # order search shares its fits with one, and otherwise each runs in
+    # process: each compare and fit-arima case runs on both process layouts.
+    both = name.startswith(("compare-", "fit-arima-"))
+    layouts = (False, True) if both else (_fork.spare_cpu(),)
     for spare_cpu in layouts:
-        monkeypatch.setattr(hybrid_mod, "_spare_cpu", lambda spare=spare_cpu: spare)
+        monkeypatch.setattr(_fork, "spare_cpu", lambda spare=spare_cpu: spare)
         work = tmp_path / f"spare-cpu-{spare_cpu}"
         work.mkdir()
         got = output_digest(name, work)
@@ -102,7 +104,7 @@ def test_outputs_match_the_pinned_digests(name, tmp_path, monkeypatch):
             stack = running_stack()
             same = "the same stack" if stack == pinned["stack"] else "a different stack"
             pytest.fail(f"{name} wrote other bytes than pinned ({got} != "
-                        f"{pinned['digests'][name]}) with _spare_cpu() {spare_cpu}, on {same}: "
+                        f"{pinned['digests'][name]}) with spare_cpu() {spare_cpu}, on {same}: "
                         f"pinned on {pinned['stack']}, running on {stack}")
 
 
